@@ -8,8 +8,15 @@ job start (fail-fast like reference userCode/lib/env.py:28-34).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+#: the env prefix ``from_env`` reads; ``SCHEDULER_RAY_TIMINGS`` (phase
+#: timings to stderr, read by flagship._phase_log) is the one prefixed
+#: variable that is not a config field
+ENV_PREFIX = "SCHEDULER_RAY_"
+NON_FIELD_ENV = frozenset({"SCHEDULER_RAY_TIMINGS"})
+
+SORT_MODES = ("local", "global")
 
 
 @dataclass
@@ -22,20 +29,18 @@ class PipelineConfig:
     #: complete within one batch, so the linker's batch-local geo (blank
     #: node → parent) resolution never splits a document
     link_batch_size: int | None = None
-    rewrite_batch_size: int = 65536
-    #: actor-pool widths; autoscaling (min, max) so a small test cluster is
-    #: never deadlocked by a pool reserving every CPU (min stays 1, the
-    #: executor scales the pool up to max when CPUs are free)
+    #: linker actor-pool width (read only with link_use_actors=True);
+    #: autoscaling (min, max) so a small test cluster is never deadlocked
+    #: by a pool reserving every CPU (min stays 1, the executor scales the
+    #: pool up to max when CPUs are free)
     #: NOTE: Ray Data fuses the upstream stateless extract/expand maps into
     #: the linker's actor pool, so this pool's max bounds the whole hot
     #: path's parallelism — size it near the cluster CPU count.
     link_concurrency: int | tuple[int, int] = (1, 24)
-    rewrite_concurrency: int | tuple[int, int] = (1, 8)
-    #: physical mode for the stateful stages: False = stateless tasks with a
+    #: physical mode for the linker: False = stateless tasks with a
     #: per-worker-process broadcast cache (elastic, no pool ramp — the
-    #: benchmarked default); True = classic map_batches actor pools
+    #: benchmarked default); True = classic map_batches actor pool
     link_use_actors: bool = False
-    rewrite_use_actors: bool = False
 
     @classmethod
     def for_cpus(cls, num_cpus: int) -> "PipelineConfig":
@@ -44,47 +49,34 @@ class PipelineConfig:
             # runs inside this pool, and a low floor leaves the cluster idle
             # while the autoscaler ramps; max leaves headroom for read/write
             link_concurrency=(max(2, num_cpus // 2), max(4, num_cpus * 7 // 8)),
-            rewrite_concurrency=(max(1, num_cpus // 8), max(2, num_cpus // 2)),
         )
     #: salt factor for hot-key group work (0 = off) — consumed by the
     #: per-source sinks (e.g. nq.write_release_graphs(salt_factor=...));
     #: per-batch map stages need no salting (Ray splits blocks by size)
     salt_factor: int = 0
-    #: optional repartition before the canonicalize/sort tail (0 = off,
-    #: the default: the hash-LUT rewrite is cheap per block, so natural
-    #: block granularity gives the best wave balance; set a count only to
-    #: bound output file count)
-    canonical_blocks: int = 0
     #: drop owl:sameAs triples from the final graph after rewriting
     drop_sameas: bool = True
     #: broadcast ceiling for the sameAs rewrite LUT: if the compressed
     #: alias-pair count exceeds this, the two-pass canonical path switches
     #: from the broadcast hash-LUT rewrite to the partitioned-join rewrite
     #: (canonicalize_stage_joined: distributed CC + two hash joins — no
-    #: single plasma object ever holds the mapping).  Default sized so a
-    #: LUT of ~100M pairs (~8 GB of strings+hashes) still broadcasts on a
+    #: single plasma object ever holds the mapping), and the single-pass
+    #: writer's fixup runs as a distributed second pass.  Default sized so
+    #: a LUT of ~100M pairs (~8 GB of strings+hashes) still broadcasts on a
     #: 128 GiB node; 0 disables the switch.
     canon_broadcast_max_pairs: int = 100_000_000
-    #: staging dir for the mid-pipeline triple checkpoint; None → keep the
-    #: intermediate in the object store via materialize() (single-node /
-    #: small runs); a path → write_parquet + read back (resumable, 100-TB path)
-    staging_dir: str | None = None
-    #: final output partition column
+    #: final output partition column of the two-pass global-sort write
     partition_col: str = "pred"
     #: validate documents against the SHACL-subset shapes during expansion
     #: (single parse; the reference's validate-during-harvest contract)
     validate_docs: bool = True
-    #: final materialize: "local" = hive partitioning by pred with each
-    #: FILE internally (pred,subj)-sorted — no all-to-all; files within a
-    #: pred dir are NOT range-partitioned by subj (consumers needing a
-    #: total order use "global").  "global" = Ray's total sort — a true
+    #: materialize with an out_dir: "local" = the single-pass streaming
+    #: writer (pipelines/streaming.py) — hive partitioning by pred with
+    #: each FILE internally (pred,subj)-sorted, no all-to-all; files within
+    #: a pred dir are NOT range-partitioned by subj.  "global" = the
+    #: two-pass canonical triples under Ray's total sort — a true
     #: range-partitioned sorted materialize — before the partitioned write.
-    #: ("ranged" is accepted as a legacy alias of "local".)
     sort_mode: str = "local"
-    #: with an out_dir and sort_mode="local": stream ONE fused pass (local
-    #: canonicalization + per-block sorted hive write + merge/fixup —
-    #: pipelines/streaming.py) instead of materialize→collect→rewrite
-    single_pass: bool = True
     #: file-level resume for the single-pass writer: elide puts whose
     #: content-named target already exists (a crashed run's surviving
     #: files are byte-identical by construction).  Off by default so a
@@ -101,7 +93,9 @@ class PipelineConfig:
         Recognized vars: ``SCHEDULER_RAY_<FIELD>`` for every scalar
         dataclass field, e.g. ``SCHEDULER_RAY_EXTRACT_BATCH_SIZE=2048``,
         ``SCHEDULER_RAY_VALIDATE_DOCS=false``, ``SCHEDULER_RAY_SORT_MODE=
-        global``, ``SCHEDULER_RAY_STAGING_DIR=/data/stage``.
+        global``.  Any other ``SCHEDULER_RAY_*`` variable (a typo, or a
+        removed field) raises ``ValueError``, except
+        ``SCHEDULER_RAY_TIMINGS``.
         """
         import dataclasses
         import os as _os
@@ -109,10 +103,19 @@ class PipelineConfig:
         from .functions.scalars import env_bool, env_int
 
         environ = _os.environ if environ is None else environ
-        kwargs = {}
         fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(
+            k
+            for k in environ
+            if k.startswith(ENV_PREFIX)
+            and k not in NON_FIELD_ENV
+            and k[len(ENV_PREFIX):].lower() not in fields
+        )
+        if unknown:
+            raise ValueError(f"unknown config env var(s): {', '.join(unknown)}")
+        kwargs = {}
         for name, f in fields.items():
-            raw = environ.get(f"SCHEDULER_RAY_{name.upper()}")
+            raw = environ.get(f"{ENV_PREFIX}{name.upper()}")
             if raw is None:
                 continue
             if f.type in ("int", "int | None"):
@@ -130,6 +133,8 @@ class PipelineConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.staging_dir is not None:
-            os.makedirs(self.staging_dir, exist_ok=True)
+        if self.sort_mode not in SORT_MODES:
+            raise ValueError(
+                f"sort_mode must be one of {SORT_MODES}, got {self.sort_mode!r}"
+            )
         return self

@@ -6,18 +6,27 @@ One Ray Data program replacing the reference's three Dagster jobs
     read_parquet(pages)
       → extract_stage          (M1/M4: byte-identical JSON-LD per url)
       → expand_stage           (M3: JSON-LD → (subj,pred,obj,lit,graph))
-      → link_stage             (J1/J2: actor pool, broadcast PID registry)
-      → [materialize or parquet-stage checkpoint]
-      → collect_sameas_mapping (D4: per-batch union-find combiner)
-      → canonicalize_stage     (A1: broadcast vectorized rewrite)
-      → local pre-dedup        (D5)
-      → sort(pred, subj)       (O4) → write_parquet(partition_cols=[pred])
+      → link_stage             (J1/J2: broadcast PID registry)
+
+then, with an ``out_dir`` (the default ``sort_mode="local"``), ONE
+streaming pass (pipelines/streaming.py): per-block local sameAs
+canonicalization + dedup + (pred, subj)-sorted hive write, a worker-side
+pair merge into the global LUT, and a fixup of only the files a
+cross-batch chain touches.  Without an ``out_dir`` (or with
+``sort_mode="global"``) the two-pass path runs:
+
+      → materialize()
+      → collect_sameas_edges   (D4: per-batch union-find combiner)
+      → lut_ref_from_edges     (worker-side pair merge → LUT ObjectRef)
+      → canonicalize_stage     (A1: broadcast vectorized rewrite + D5
+                                local pre-dedup)
+      → [sort(pred, subj) → write_parquet(partition_cols=[pred])]
 
 The triple stream is consumed twice (once to collect the sameAs edge
-summary, once to rewrite), so it is checkpointed between expansion and
-rewrite: in-object-store ``materialize()`` by default, or a parquet
-staging dir (``cfg.staging_dir``) which doubles as the resumable
-checkpoint at 100-TB scale.
+summary, once to rewrite), so it is materialized in the object store
+between expansion and rewrite.  Above ``cfg.canon_broadcast_max_pairs``
+the rewrite runs as ``canonicalize_stage_joined`` instead (distributed
+CC + two partitioned joins).
 """
 
 from __future__ import annotations
@@ -31,12 +40,7 @@ import ray.data as rd
 from ray.data import Dataset
 
 from ..config import PipelineConfig
-from ..stages.canonicalize import (
-    canonicalize_stage,
-    collect_sameas_arrays,  # noqa: F401 — re-exported for callers/tests
-    collect_sameas_lut_ref,
-    collect_sameas_mapping,  # noqa: F401 — re-exported for callers/tests
-)
+from ..stages.canonicalize import canonicalize_stage
 from ..stages.expand import expand_stage
 from ..stages.extract import extract_stage
 from ..stages.link import INDEX_CACHE_NAME, link_stage
@@ -91,52 +95,36 @@ def canonical_triples(
     t0 = _time.time()
     tri = raw_triples(pages, registry, sources, cfg, index_cache_path)
     t0 = _phase_log("build_raw_plan", t0)
-    if cfg.staging_dir:
-        tri.write_parquet(cfg.staging_dir)
-        tri = rd.read_parquet(cfg.staging_dir)
-    else:
-        tri = tri.materialize()
+    tri = tri.materialize()
     t0 = _phase_log("materialize_raw", t0)
     # one combiner pass compresses the alias pairs to a (tiny,
     # materialized) edge Dataset; its row count — free metadata — drives
     # the broadcast-vs-joined switch (ROADMAP §2): above
     # cfg.canon_broadcast_max_pairs no single plasma object could hold the
     # LUT, so the rewrite runs as distributed CC + two partitioned joins.
+    # (imported here, not at module level, so the module attributes are
+    # looked up at call time)
     from ..stages.canonicalize import canonicalize_stage_joined, collect_sameas_edges, lut_ref_from_edges
 
     edges = collect_sameas_edges(tri)
     n_pairs = edges.count()
     if cfg.canon_broadcast_max_pairs and n_pairs > cfg.canon_broadcast_max_pairs:
         t0 = _phase_log("collect_edges", t0)
-        if cfg.canonical_blocks:
-            tri = tri.repartition(cfg.canonical_blocks)
         return canonicalize_stage_joined(
             tri,
             edges,
             drop_sameas=cfg.drop_sameas,
             local_dedup=True,
         )
-    # tree-reduced merge → remote LUT build; only the ObjectRef comes
-    # back (the driver never holds the mapping bytes).  The rewrite tasks
-    # block on the ref themselves, overlapping the merge tail with the
-    # next execution's startup — only the timing mode inserts a barrier
-    # so the phase is attributable.
-    mapping = lut_ref_from_edges(edges)
-    if _os.environ.get("SCHEDULER_RAY_TIMINGS"):
-        ray.wait([mapping])
+    # worker-side merge → remote LUT build; only the ObjectRef comes
+    # back (the driver never holds the mapping bytes)
+    lut_ref = lut_ref_from_edges(edges)
     t0 = _phase_log("collect_mapping", t0)
-    # optional lazy coalesce for the rewrite/sort/write tail (fuses into
-    # that execution — no extra pass); the hash-LUT rewrite has near-zero
-    # per-task fixed cost, so the count can scale with CPUs for wave balance
-    if cfg.canonical_blocks:
-        tri = tri.repartition(cfg.canonical_blocks)
     return canonicalize_stage(
         tri,
-        mapping,
+        lut_ref,
         drop_sameas=cfg.drop_sameas,
         batch_size=None,  # whole-block batches
-        concurrency=cfg.rewrite_concurrency,
-        use_actors=cfg.rewrite_use_actors,
         local_dedup=True,
     )
 
@@ -286,7 +274,9 @@ def run_flagship(
     the SINGLE-PASS streaming materialize (pipelines/streaming.py): local
     canonicalization fused into the main pass, direct per-block sorted
     hive writes, global merge + fixup only where cross-batch chains land.
-    ``sort_mode="global"`` (or no out_dir) uses the two-pass path.
+    With ``sort_mode="global"`` the two-pass canonical triples get Ray's
+    total (pred, subj) sort before the partitioned write; without an
+    ``out_dir`` the two-pass Dataset is returned unwritten.
 
     ``index_ref``: an already-broadcast ``RegistryIndex`` ObjectRef (ST1
     steady state — see link_stage); skips the per-job index load/put.
@@ -306,7 +296,7 @@ def run_flagship(
         registry = index_ref
     pages = read_pages(fixture_dir)
 
-    if out_dir and cfg.single_pass and cfg.sort_mode in ("local", "ranged"):
+    if out_dir and cfg.sort_mode == "local":
         from .streaming import write_canonical_single_pass
 
         t0 = _time.time()
@@ -327,20 +317,11 @@ def run_flagship(
     )
     if out_dir:
         t0 = _time.time()
-        if cfg.sort_mode == "global":
-            # Ray's sort range-partitions then sorts — the output files ARE
-            # globally ordered by (pred, subj)
-            final = canon.sort(["pred", "subj"])
-        else:
-            # local mode: hive partition dirs by pred + per-FILE (pred,subj)
-            # sort; files within a pred dir are not range-partitioned
-            def sort_block(t: pa.Table) -> pa.Table:
-                return t.sort_by([("pred", "ascending"), ("subj", "ascending")])
-
-            final = canon.map_batches(
-                sort_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-            )
-        final.write_parquet(out_dir, partition_cols=[cfg.partition_col])
+        # Ray's sort range-partitions then sorts — the output files ARE
+        # globally ordered by (pred, subj)
+        canon.sort(["pred", "subj"]).write_parquet(
+            out_dir, partition_cols=[cfg.partition_col]
+        )
         _phase_log("sort_write", t0)
         return read_graph(out_dir)
     return canon

@@ -16,10 +16,11 @@ A1/D4/D5/O4):
    sidecars: its compressed (node → local canon) pair table and the
    distinct uint64 hashes of the URIs remaining in its output.
 2. Driver: the pair sidecars are tree-merged **on workers** into the
-   global mapping LUT (`canonicalize.build_rewrite_lut`, zero-copy in
-   plasma).  If the global merge changed nothing — every sameAs cluster
-   was batch-local, the common case — the written files are already
-   canonical and the job is done: one pass total.
+   global mapping LUT (`canonicalize._PairMerger`, the same builder the
+   two-pass path uses; zero-copy in plasma).  If the global merge
+   changed nothing — every sameAs cluster was batch-local, the common
+   case — the written files are already canonical and the job is done:
+   one pass total.
 3. Otherwise (cross-batch chains, or documents referencing another
    document's alias URI): every written file whose URI-hash sidecar
    intersects the mapping keys is **fixed up** — rewritten to a NEW
@@ -46,7 +47,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
@@ -54,8 +54,7 @@ from ray.data import Dataset
 from ..stages.canonicalize import (
     CanonicalRewriter,
     _hash_large_string,
-    _merge_pair_tables,
-    build_rewrite_lut,
+    _PairMerger,
     local_canonicalize_batch,
     local_exact_dedup,
 )
@@ -176,174 +175,6 @@ def _write_block(
     )
 
 
-# num_cpus=0: each merge wave is milliseconds of compute over at most
-# fanout small pair tables, but during the main pass every whole CPU is
-# held by the fused map tasks — a num_cpus=1 merge would QUEUE until the
-# execute phase drains and the "overlapped" tree merge would serialize
-# into a tail.  Zero-cpu tasks schedule immediately alongside the stream.
-@ray.remote(num_cpus=0)
-def _read_merge_pairs(fs, *paths: str) -> pa.Table:
-    return _merge_pair_tables([fs.read_table(p) for p in paths])
-
-
-@ray.remote(num_cpus=0)
-def _merge_pairs(*tables: pa.Table) -> pa.Table:
-    return _merge_pair_tables(list(tables))
-
-
-#: node-hash range shards for the final merge+LUT build (2^3 = 8 tasks).
-#: Sharding by NODE hash keeps every duplicate/conflicting pair for one
-#: node in one shard, so per-shard closure is exact within the shard.
-_LUT_SHARD_BITS = 3
-
-
-@ray.remote(num_cpus=0)
-def _finish_lut_shard(shard: int, *tables: pa.Table) -> tuple:
-    """Resolve one node-hash range of the pair set and build its LUT
-    slice.  Returns ``(keys_sorted, vals_sorted, kh_sorted, unique,
-    root_hashes, in_range)`` — the last two feed the soundness checks in
-    :func:`_concat_lut_shards`: ``root_hashes`` the cross-shard chain
-    check, ``in_range`` the key-escape check (a CONFLICTED alias set's
-    union-find closure can emit mapping keys drawn from the ROOT
-    universe, whose hashes leave this shard's node range)."""
-    shift = np.uint64(64 - _LUT_SHARD_BITS)
-    parts = []
-    for t in tables:
-        if t.num_rows == 0:
-            continue
-        hn = t["node_hash"].to_numpy()
-        mask = (hn >> shift).astype(np.int64) == shard
-        if mask.any():
-            parts.append(t.filter(pa.array(mask)))
-    merged = _merge_pair_tables(parts)
-    keys, vals, kh, _bitmap, unique = build_rewrite_lut(
-        merged["node"].combine_chunks(), merged["root"].combine_chunks()
-    )
-    rh = merged["root_hash"].to_numpy() if merged.num_rows else np.array([], np.uint64)
-    in_range = bool(len(kh) == 0 or ((kh >> shift).astype(np.int64) == shard).all())
-    return keys, vals, kh, unique, np.unique(rh), in_range
-
-
-@ray.remote(num_cpus=0)
-def _concat_lut_shards(*shards: tuple) -> tuple:
-    """Assemble the global rewrite LUT from per-shard slices.
-
-    The shard hash ranges are disjoint and ascending, so the hash-sorted
-    global arrays are the shards concatenated in shard order — no resort.
-    Two conditions force the exact global fallback (a re-closure over the
-    already per-shard-resolved pairs — sound, because per-shard closure
-    replaces a component's edges with star edges over the SAME member
-    strings, so global connectivity and min-label canons are preserved):
-
-    * a root hash appears as a node hash — a CROSS-shard alias chain (or
-      a hash collision) the per-shard closure could not follow;
-    * a shard emitted an out-of-range key — conflicted alias sets close
-      through union-find, which may mint mapping keys from the ROOT
-      universe, breaking the disjoint/ascending concat invariant.
-
-    On this engine's corpora chains are batch-local and neither fires;
-    the fallback exists for correctness, not speed."""
-    live = [s for s in shards if len(s[2])]
-    if not live:
-        return build_rewrite_lut(
-            pa.array([], pa.large_string()), pa.array([], pa.large_string())
-        )
-    kh = np.concatenate([s[2] for s in live])
-    rh = np.concatenate([s[4] for s in live])
-    pos = np.clip(np.searchsorted(kh, rh), 0, len(kh) - 1)
-    escaped = not all(s[5] for s in live)
-    if escaped or (len(kh) and bool((kh[pos] == rh).any())):
-        keys = pa.concat_arrays([pa.concat_arrays(s[0].chunks) if isinstance(s[0], pa.ChunkedArray) else s[0] for s in live])
-        vals = pa.concat_arrays([pa.concat_arrays(s[1].chunks) if isinstance(s[1], pa.ChunkedArray) else s[1] for s in live])
-        merged = _merge_pair_tables(
-            [
-                pa.table(
-                    {
-                        "node": keys,
-                        "root": vals,
-                        "node_hash": pa.array(_hash_large_string(keys), pa.uint64()),
-                        "root_hash": pa.array(_hash_large_string(vals), pa.uint64()),
-                    }
-                )
-            ]
-        )
-        return build_rewrite_lut(
-            merged["node"].combine_chunks(), merged["root"].combine_chunks()
-        )
-    keys = pa.concat_arrays(
-        [pa.concat_arrays(s[0].chunks) if isinstance(s[0], pa.ChunkedArray) else s[0] for s in live]
-    )
-    vals = pa.concat_arrays(
-        [pa.concat_arrays(s[1].chunks) if isinstance(s[1], pa.ChunkedArray) else s[1] for s in live]
-    )
-    from ..stages.canonicalize import _PREFIX_BITS
-
-    bitmap = None
-    if len(kh) >= 65536:
-        bitmap = np.zeros(1 << _PREFIX_BITS, bool)
-        bitmap[(kh >> np.uint64(64 - _PREFIX_BITS)).astype(np.int64)] = True
-    # shard ranges are disjoint, so uniqueness is per-shard uniqueness
-    return keys, vals, kh, bitmap, all(s[3] for s in live)
-
-
-class _PairMerger:
-    """Incremental worker-side tree-merge of per-block pair sidecars into
-    the global rewrite LUT.  ``add()`` is called as manifest blocks stream
-    back to the driver, so the leaf read+merge waves OVERLAP the main
-    dataset execution; ``finish()`` only pays the final small reduction.
-    The driver never holds pair bytes — only ObjectRefs."""
-
-    def __init__(self, fs, merge_fanout: int = 8):
-        self.fs = fs
-        self.fanout = merge_fanout
-        self.pending: list[str] = []
-        self.refs: list = []
-        self.n_files = 0
-
-    def add(self, path: str) -> None:
-        self.n_files += 1
-        self.pending.append(path)
-        if len(self.pending) >= self.fanout:
-            self.refs.append(_read_merge_pairs.remote(self.fs, *self.pending))
-            self.pending = []
-        # collapse eagerly so the intermediate waves also overlap execution
-        if len(self.refs) >= self.fanout * 2:
-            self.refs = [_merge_pairs.remote(*self.refs[: self.fanout])] + self.refs[
-                self.fanout :
-            ]
-
-    def finish(self):
-        """Returns the LUT ObjectRef, or None if no pair files were seen."""
-        if self.pending:
-            self.refs.append(_read_merge_pairs.remote(self.fs, *self.pending))
-            self.pending = []
-        if not self.refs:
-            return None
-        refs = self.refs
-        while len(refs) > self.fanout:
-            refs = [
-                _merge_pairs.remote(*refs[i : i + self.fanout])
-                for i in range(0, len(refs), self.fanout)
-            ]
-        # sharded finish: the single-task final merge + LUT build was the
-        # serial tail of the whole write (concat+closure+sort of the full
-        # pair set); per-hash-range shards run it in parallel and the
-        # global LUT is their ordered concatenation
-        shard_refs = [
-            _finish_lut_shard.remote(s, *refs) for s in range(1 << _LUT_SHARD_BITS)
-        ]
-        return _concat_lut_shards.remote(*shard_refs)
-
-
-def _merge_pair_files_to_lut(pair_files: list[str], fs, merge_fanout: int = 8):
-    """Tree-merge pair sidecar files into the global rewrite LUT (all on
-    workers; returns the ObjectRef of the LUT tuple)."""
-    m = _PairMerger(fs, merge_fanout)
-    for p in pair_files:
-        m.add(p)
-    return m.finish()
-
-
 @ray.remote(num_cpus=1)
 def _flag_sidecars(sidecar_paths: list[str], lut: tuple, fs=None) -> list[bool]:
     import io
@@ -378,15 +209,9 @@ def _fixup_file(path: str, lut: tuple, drop_sameas: bool, fs=None) -> tuple[str,
     Returns (new_path, rows); the caller deletes the predecessor AFTER
     the commit manifest is written."""
     fs = fs or LocalFS()
-    tbl = fs.read_table(path)
-    rw = CanonicalRewriter(lut, drop_sameas=False)  # pred column absent
-    subj = rw._rewrite(tbl["subj"])
-    lit = tbl["obj_is_literal"].combine_chunks()
-    not_lit = np.logical_not(lit.to_numpy(zero_copy_only=False).astype(bool))
-    obj = rw._rewrite(tbl["obj"], probe_mask=not_lit)
-    i_s = tbl.schema.get_field_index("subj")
-    i_o = tbl.schema.get_field_index("obj")
-    tbl = tbl.set_column(i_s, "subj", subj).set_column(i_o, "obj", obj)
+    # pred column absent (hive dir), so no sameAs drop here — pass 1
+    # already applied it
+    tbl = CanonicalRewriter(lut, drop_sameas=False)(fs.read_table(path))
     # file-level exact dedup on (subj, obj) — pred constant within a file
     hs = _hash_large_string(tbl["subj"])
     ho = _hash_large_string(tbl["obj"])
@@ -639,17 +464,16 @@ def write_canonical_single_pass(
         replaced = sorted(old_files - new_files)
         fixed = len(replaced)
         t0 = _phase_log("  sp:distributed_fixup", t0)
-        lut_ref = None
-    else:
+    elif merger.n_parts:
+        # no pair file at all → nothing can need a fixup
         lut_ref = merger.finish()
-    if lut_ref is not None:
         sidecars = [
             os.path.join(out_dir, SIDECAR_DIR, f"{s}.npy") for s in sorted(seen_stems)
         ]
         if os.environ.get("SCHEDULER_RAY_TIMINGS"):
             ray.wait([lut_ref])
             t0 = _phase_log(
-                f"  sp:lut_merge({merger.n_files}p/{len(sidecars)}s)", t0
+                f"  sp:lut_merge({merger.n_parts}p/{len(sidecars)}s)", t0
             )
         group = 32
         flag_refs = [

@@ -12,23 +12,25 @@ Ray-Data-first, shuffle-free for the big side:
 1. ``sameas_edges``: filter the triple stream to sameAs edges
    (``map_batches`` predicate — the edge set is a tiny fraction of the
    triples).
-2. Per-batch **union-find combiner**: each batch collapses its edges
-   locally and emits at most one ``(node, root)`` pair per distinct node —
-   the classic mergeable-summary pattern, so the driver only ever sees the
-   *compressed* alias set, never the raw triples.
-3. Driver merges the partial union-finds (alias count ≪ triple count) and
-   picks the canonical representative per cluster: the PID if the cluster
-   contains one, else the lexicographically smallest URI (deterministic).
-4. The mapping is broadcast (``ray.put``) and applied with a fully
-   vectorized ``pc.index_in`` + ``pc.take`` rewrite inside ``map_batches``
-   — no shuffle of the triple set at all.
+2. Per-batch **union-find combiner** (:func:`collect_sameas_edges`):
+   each batch collapses its edges locally and emits at most one
+   ``(node, root)`` pair per distinct node — the classic mergeable-summary
+   pattern, so nothing downstream ever sees the raw triples.
+3. :class:`_PairMerger` tree-merges the pair tables **on workers** (the
+   associative intermediate reduce of FP-Hadoop, VLDB 2015) and builds the
+   hash-sorted rewrite LUT in node-hash shards; the canonical
+   representative per cluster is the PID if the cluster contains one,
+   else the lexicographically smallest URI (deterministic).  The driver
+   only holds ObjectRefs.  The two-pass path feeds it edge-block refs
+   (:func:`lut_ref_from_edges`); the single-pass writer feeds it the
+   per-block pair files as they stream back.
+4. The LUT stays in plasma and :class:`CanonicalRewriter` — the one
+   rewrite kernel — applies it with a vectorized hash probe inside
+   ``map_batches``: no shuffle of the triple set at all.
 
-Scale note (10^12 docs): step 3 holds one dict entry per *aliased
-entity* on the driver.  If the alias set itself outgrows one node, swap
-step 2-3 for the hash-partitioned min-label propagation in
-:func:`connected_components_distributed` (same output, all-shuffle), which
-is provided and tested; the broadcast rewrite in step 4 is unchanged
-except the mapping becomes a broadcast-joined small table per partition.
+Scale note: if the alias set itself outgrows one plasma object, swap
+steps 3-4 for :func:`canonicalize_stage_joined` (hash-partitioned
+min-label propagation + two partitioned joins, same output, all-shuffle).
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def sameas_edges_batch(batch: pa.Table) -> pa.Table:
     edges are emitted adjacently by the expansion stage, within-batch
     closure resolves nearly every cluster — the tree merge then only
     deduplicates identical pairs and pointer-jumps the rare cross-batch
-    chain (see collect_sameas_arrays).
+    chain (see :class:`_PairMerger`).
     """
     mask = _is_sameas(batch["pred"])
     edges = batch.filter(mask)
@@ -114,23 +116,6 @@ def sameas_edges_batch(batch: pa.Table) -> pa.Table:
             "root_hash": pa.array(root_hash, pa.uint64()),
         }
     )
-
-
-def _merge_pairs_vectorized(nodes, roots, max_iters: int = 16):
-    """Driver-side CC merge over compressed (node, root) pairs — integer
-    min-label propagation with pointer jumping (numpy, no per-edge Python
-    loop; O(E · α) in practice because alias chains are shallow).
-
-    Canonical representative = cluster minimum under a sort key that ranks
-    Geoconnex PIDs first ('0'+pid < '1'+other), matching the reference's
-    PID-canonical convention (userCode/defs_test.py:121-126).
-    """
-    import numpy as np
-    import pandas as pd
-
-    canon_idx, uniq = _merge_pairs_idx(nodes, roots, max_iters)
-    changed = np.flatnonzero(canon_idx != np.arange(len(uniq)))
-    return {uniq[i]: uniq[canon_idx[i]] for i in changed}
 
 
 def _merge_pairs_idx(nodes, roots, max_iters: int = 16):
@@ -212,49 +197,6 @@ def _merge_pair_tables(tables: list[pa.Table]) -> pa.Table:
     )
 
 
-def collect_sameas_arrays(triples: Dataset, *, merge_fanout: int = 8):
-    """Broadcast-ready ``(keys, vals)`` alias→canonical Arrow arrays.
-
-    The per-cluster canonical choice happens inside the distributed
-    per-block combiner; partial pair tables are then **tree-reduced on
-    workers** (fanout ``merge_fanout``), so the driver-side cost is one
-    final small merge — a per-job term that no longer caps whole-job
-    scaling (round-1 verdict: the driver merge was a ~3.5 s constant).
-    """
-    # the combiner runs as raw Ray tasks over the dataset's block refs:
-    # for a materialized dataset this skips a whole streaming-executor
-    # round-trip (to_arrow_refs is free), and the per-block combiner needs
-    # no pipelining — one of the few places raw tasks beat the Dataset API
-    block_refs = triples.to_arrow_refs()
-
-    @ray.remote(num_cpus=1)
-    def _combine(*blocks: pa.Table) -> pa.Table:
-        tables = [
-            sameas_edges_batch(b)
-            for b in blocks
-            if b.num_rows > 0 and "pred" in b.schema.names
-        ]
-        return _merge_pair_tables(tables)
-
-    @ray.remote(num_cpus=1)
-    def _merge(*tables: pa.Table) -> pa.Table:
-        return _merge_pair_tables(list(tables))
-
-    # each leaf task combines a group of blocks (fewer, meatier tasks —
-    # task-submission overhead is driver-serial and caps scaling)
-    refs = [
-        _combine.remote(*block_refs[i : i + merge_fanout])
-        for i in range(0, len(block_refs), merge_fanout)
-    ]
-    while len(refs) > merge_fanout:
-        refs = [
-            _merge.remote(*refs[i : i + merge_fanout])
-            for i in range(0, len(refs), merge_fanout)
-        ]
-    final = _merge_pair_tables(ray.get(refs))
-    return final["node"].combine_chunks(), final["root"].combine_chunks()
-
-
 def collect_sameas_edges(triples: Dataset) -> Dataset:
     """Per-batch sameAs combiner output as a (materialized) Dataset.
 
@@ -271,74 +213,6 @@ def collect_sameas_edges(triples: Dataset) -> Dataset:
     return triples.map_batches(
         sameas_edges_batch, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-
-
-def lut_ref_from_edges(edges: Dataset, *, merge_fanout: int = 8) -> "ray.ObjectRef":
-    """Tree-merge an already-collected edge Dataset into the rewrite-LUT
-    ObjectRef (same worker-side reduction as collect_sameas_lut_ref, but
-    starting from combiner output instead of raw triple blocks)."""
-    block_refs = edges.to_arrow_refs()
-
-    @ray.remote(num_cpus=1)
-    def _merge(*tables: pa.Table) -> pa.Table:
-        return _merge_pair_tables(
-            [t for t in tables if t.num_rows > 0 and "node" in t.schema.names]
-        )
-
-    @ray.remote(num_cpus=1)
-    def _finish(*tables: pa.Table) -> tuple:
-        final = _merge_pair_tables(list(tables))
-        return build_rewrite_lut(
-            final["node"].combine_chunks(), final["root"].combine_chunks()
-        )
-
-    refs = list(block_refs)
-    while len(refs) > merge_fanout:
-        refs = [
-            _merge.remote(*refs[i : i + merge_fanout])
-            for i in range(0, len(refs), merge_fanout)
-        ]
-    return _finish.remote(*refs)
-
-
-def collect_sameas_lut_ref(triples: Dataset, *, merge_fanout: int = 8) -> "ray.ObjectRef":
-    """Like :func:`collect_sameas_arrays`, but the tree root feeds a
-    remote :func:`build_rewrite_lut` and the **ObjectRef of the finished
-    LUT** is returned — the mapping bytes never land on the driver at all
-    (no driver deserialize, no driver re-``put``).  Pass the ref straight
-    to :func:`canonicalize_stage`."""
-    block_refs = triples.to_arrow_refs()
-
-    @ray.remote(num_cpus=1)
-    def _combine(*blocks: pa.Table) -> pa.Table:
-        tables = [
-            sameas_edges_batch(b)
-            for b in blocks
-            if b.num_rows > 0 and "pred" in b.schema.names
-        ]
-        return _merge_pair_tables(tables)
-
-    @ray.remote(num_cpus=1)
-    def _merge(*tables: pa.Table) -> pa.Table:
-        return _merge_pair_tables(list(tables))
-
-    @ray.remote(num_cpus=1)
-    def _finish(*tables: pa.Table) -> tuple:
-        final = _merge_pair_tables(list(tables))
-        return build_rewrite_lut(
-            final["node"].combine_chunks(), final["root"].combine_chunks()
-        )
-
-    refs = [
-        _combine.remote(*block_refs[i : i + merge_fanout])
-        for i in range(0, len(block_refs), merge_fanout)
-    ]
-    while len(refs) > merge_fanout:
-        refs = [
-            _merge.remote(*refs[i : i + merge_fanout])
-            for i in range(0, len(refs), merge_fanout)
-        ]
-    return _finish.remote(*refs)
 
 
 def _resolve_pairs_exact(tbl: pa.Table):
@@ -364,14 +238,19 @@ def _resolve_pairs_exact(tbl: pa.Table):
     a_sorted = np.sort(a)
     dup_nodes = np.unique(a_sorted[:-1][a_sorted[:-1] == a_sorted[1:]]) if len(a) > 1 else np.array([], np.int64)
     if len(dup_nodes):
-        in_conf_node = np.zeros(len(uniq), bool)
-        in_conf_node[dup_nodes] = True
-        conf_mask = in_conf_node[a]
-        # grow the conflict graph by pairs touching any conflicted string
+        # grow the conflict graph to the WHOLE connected components of the
+        # conflicted nodes: a member that also heads a pair outside the
+        # resolved set would come back as a new, unresolved conflict after
+        # the recombine below, and one of its links would be lost (one-hop
+        # growth did exactly that in multi-level merge trees)
         conf_strings = np.zeros(len(uniq), bool)
-        conf_strings[a[conf_mask]] = True
-        conf_strings[b[conf_mask]] = True
-        conf_mask = conf_strings[a] | conf_strings[b]
+        conf_strings[dup_nodes] = True
+        n_conf = 0
+        while n_conf != conf_strings.sum():
+            n_conf = conf_strings.sum()
+            conf_mask = conf_strings[a] | conf_strings[b]
+            conf_strings[a[conf_mask]] = True
+            conf_strings[b[conf_mask]] = True
         ca, cb = a[conf_mask], b[conf_mask]
         canon_idx, cuniq = _merge_pairs_idx(uniq[ca], uniq[cb])
         changed = np.flatnonzero(canon_idx != np.arange(len(cuniq)))
@@ -418,22 +297,6 @@ def local_canonicalize_batch(tbl: pa.Table, drop_sameas: bool = True):
     elif drop_sameas:
         tbl = tbl.filter(pc.invert(_is_sameas(tbl["pred"])))
     return tbl, pairs
-
-
-def collect_sameas_mapping(triples: Dataset) -> dict[str, str]:
-    """Edges → alias→canonical dict (driver-side merge of partial UFs).
-
-    Driver memory is bounded by the number of *aliased* entities (the
-    per-batch combiner compresses everything else away); see module
-    docstring for the 10^12-doc alternative.
-    """
-    partials = triples.map_batches(
-        sameas_edges_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    pdf = partials.to_pandas()
-    if not len(pdf):
-        return {}
-    return _merge_pairs_vectorized(pdf["node"].to_numpy(), pdf["root"].to_numpy())
 
 
 def local_exact_dedup(tbl: pa.Table) -> pa.Table:
@@ -538,12 +401,190 @@ def build_rewrite_lut(keys, vals) -> tuple:
     return keys_sorted, vals_sorted, kh_sorted, bitmap, hash_unique
 
 
+@ray.remote
+def _merge_pairs(fs, *parts) -> pa.Table:
+    """Merge pair tables; a ``str`` part is a pair file read through
+    ``fs``, anything else an already-resolved pair table."""
+    return _merge_pair_tables(
+        [fs.read_table(p) if isinstance(p, str) else p for p in parts]
+    )
+
+
+#: node-hash range shards for the final merge+LUT build (2^3 = 8 tasks).
+#: Sharding by NODE hash keeps every duplicate/conflicting pair for one
+#: node in one shard, so per-shard closure is exact within the shard.
+_LUT_SHARD_BITS = 3
+
+
+@ray.remote
+def _finish_lut_shard(shard: int, *tables: pa.Table) -> tuple:
+    """Resolve one node-hash range of the pair set and build its LUT
+    slice.  Returns ``(keys_sorted, vals_sorted, kh_sorted, unique,
+    root_hashes, in_range)`` — the last two feed the soundness checks in
+    :func:`_concat_lut_shards`: ``root_hashes`` the cross-shard chain
+    check, ``in_range`` the key-escape check (a CONFLICTED alias set's
+    union-find closure can emit mapping keys drawn from the ROOT
+    universe, whose hashes leave this shard's node range)."""
+    shift = np.uint64(64 - _LUT_SHARD_BITS)
+    parts = []
+    for t in tables:
+        if t.num_rows == 0:
+            continue
+        hn = t["node_hash"].to_numpy()
+        mask = (hn >> shift).astype(np.int64) == shard
+        if mask.any():
+            parts.append(t.filter(pa.array(mask)))
+    merged = _merge_pair_tables(parts)
+    keys, vals, kh, _bitmap, unique = build_rewrite_lut(
+        merged["node"].combine_chunks(), merged["root"].combine_chunks()
+    )
+    rh = merged["root_hash"].to_numpy() if merged.num_rows else np.array([], np.uint64)
+    in_range = bool(len(kh) == 0 or ((kh >> shift).astype(np.int64) == shard).all())
+    return keys, vals, kh, unique, np.unique(rh), in_range
+
+
+@ray.remote
+def _concat_lut_shards(*shards: tuple) -> tuple:
+    """Assemble the global rewrite LUT from per-shard slices.
+
+    The shard hash ranges are disjoint and ascending, so the hash-sorted
+    global arrays are the shards concatenated in shard order — no resort.
+    Two conditions force the exact global fallback (a re-closure over the
+    already per-shard-resolved pairs — sound, because per-shard closure
+    replaces a component's edges with star edges over the SAME member
+    strings, so global connectivity and min-label canons are preserved):
+
+    * a root hash appears as a node hash — a CROSS-shard alias chain (or
+      a hash collision) the per-shard closure could not follow;
+    * a shard emitted an out-of-range key — conflicted alias sets close
+      through union-find, which may mint mapping keys from the ROOT
+      universe, breaking the disjoint/ascending concat invariant.
+
+    On this engine's corpora chains are batch-local and neither fires;
+    the fallback exists for correctness, not speed."""
+    live = [s for s in shards if len(s[2])]
+    if not live:
+        return build_rewrite_lut(
+            pa.array([], pa.large_string()), pa.array([], pa.large_string())
+        )
+    kh = np.concatenate([s[2] for s in live])
+    rh = np.concatenate([s[4] for s in live])
+    keys = pa.concat_arrays([s[0] for s in live])
+    vals = pa.concat_arrays([s[1] for s in live])
+    pos = np.clip(np.searchsorted(kh, rh), 0, len(kh) - 1)
+    escaped = not all(s[5] for s in live)
+    if escaped or bool((kh[pos] == rh).any()):
+        merged = _merge_pair_tables(
+            [
+                pa.table(
+                    {
+                        "node": keys,
+                        "root": vals,
+                        "node_hash": pa.array(_hash_large_string(keys), pa.uint64()),
+                        "root_hash": pa.array(_hash_large_string(vals), pa.uint64()),
+                    }
+                )
+            ]
+        )
+        return build_rewrite_lut(
+            merged["node"].combine_chunks(), merged["root"].combine_chunks()
+        )
+    bitmap = None
+    if len(kh) >= 65536:
+        bitmap = np.zeros(1 << _PREFIX_BITS, bool)
+        bitmap[(kh >> np.uint64(64 - _PREFIX_BITS)).astype(np.int64)] = True
+    # shard ranges are disjoint, so uniqueness is per-shard uniqueness
+    return keys, vals, kh, bitmap, all(s[3] for s in live)
+
+
+class _PairMerger:
+    """THE sameAs LUT builder: incremental worker-side tree merge of pair
+    tables into the global rewrite LUT.  ``add()`` takes a pair-file path
+    (the single-pass writer, as manifest blocks stream back) or a pair
+    table ObjectRef (:func:`lut_ref_from_edges`); leaf merges launch every
+    ``merge_fanout`` parts, so the merge waves OVERLAP the stream and
+    ``finish()`` only pays the final small reduction.  The driver never
+    holds pair bytes — only ObjectRefs.
+
+    ``num_cpus`` is the CPU request of every merge task.  The writer uses
+    0: each merge is milliseconds of compute over at most fanout small
+    pair tables, but while the writer streams every whole CPU is held by
+    the fused map tasks, so a num_cpus=1 merge would QUEUE until the
+    stream drains and the overlapped tree merge would serialize into a
+    tail.  With no stream to overlap, 1 is cheaper: Ray starts a worker
+    process for every zero-CPU task it cannot place on an idle one."""
+
+    def __init__(self, fs=None, merge_fanout: int = 8, num_cpus: int = 0):
+        if merge_fanout < 2:
+            raise ValueError("merge_fanout must be at least 2")
+        self.fs = fs
+        self.fanout = merge_fanout
+        self.opts = {"num_cpus": num_cpus}
+        self.pending: list = []
+        self.refs: list = []
+        self.n_parts = 0
+
+    def _merge(self, parts: list) -> "ray.ObjectRef":
+        return _merge_pairs.options(**self.opts).remote(self.fs, *parts)
+
+    def add(self, part) -> None:
+        self.n_parts += 1
+        self.pending.append(part)
+        if len(self.pending) >= self.fanout:
+            self.refs.append(self._merge(self.pending))
+            self.pending = []
+        # collapse eagerly so the intermediate waves also overlap execution
+        if len(self.refs) >= self.fanout * 2:
+            self.refs = [self._merge(self.refs[: self.fanout])] + self.refs[self.fanout :]
+
+    def finish(self) -> "ray.ObjectRef":
+        """The ObjectRef of the finished LUT tuple (empty if nothing was
+        added)."""
+        if self.pending:
+            self.refs.append(self._merge(self.pending))
+            self.pending = []
+        refs = self.refs
+        while len(refs) > self.fanout:
+            refs = [
+                self._merge(refs[i : i + self.fanout])
+                for i in range(0, len(refs), self.fanout)
+            ]
+        # sharded finish: a single-task final merge + LUT build was the
+        # serial tail of the whole write (concat+closure+sort of the full
+        # pair set); per-hash-range shards run it in parallel and the
+        # global LUT is their ordered concatenation
+        shard_refs = [
+            _finish_lut_shard.options(**self.opts).remote(s, *refs)
+            for s in range(1 << _LUT_SHARD_BITS)
+        ]
+        return _concat_lut_shards.options(**self.opts).remote(*shard_refs)
+
+
+def lut_ref_from_edges(edges: Dataset, *, merge_fanout: int = 8) -> "ray.ObjectRef":
+    """Tree-merge a collected edge Dataset (:func:`collect_sameas_edges`)
+    into the rewrite-LUT ObjectRef on workers — the mapping bytes never
+    land on the driver.  Returns once the LUT is built; pass the ref
+    straight to :func:`canonicalize_stage`."""
+    # The edges are already materialized, so there is no stream to
+    # overlap: whole-CPU tasks, and the LUT is finished before the rewrite
+    # starts.  Otherwise rewrite tasks block on the ref while holding
+    # workers and Ray starts extra worker processes for the merge tasks
+    # (on one CPU: refresh-benchmark wall 1.5 s → 3.0-3.5 s, +180 MB RSS).
+    merger = _PairMerger(merge_fanout=merge_fanout, num_cpus=1)
+    for ref in edges.to_arrow_refs():
+        merger.add(ref)
+    lut_ref = merger.finish()
+    ray.wait([lut_ref], fetch_local=False)
+    return lut_ref
+
+
 class CanonicalRewriter:
-    """Vectorized alias→canonical rewrite + sameAs drop (task or actor).
+    """THE alias→canonical rewrite kernel (+ optional sameAs drop): every
+    path that applies a LUT to ``subj``/``obj`` — the two-pass rewrite,
+    the writer's per-block local canon and its file fixup — calls it.
 
     The lookup structure is a sorted uint64 hash LUT over the mapping keys
-    built ONCE on the driver (:func:`build_rewrite_lut`) and broadcast —
-    per batch the column is hashed, searchsorted, and hash hits are
+    (:func:`build_rewrite_lut`, or the :class:`_PairMerger` result) — per batch the column is hashed, searchsorted, and hash hits are
     string-verified with Arrow kernels.  Unlike ``pc.index_in`` (which
     rebuilds its value_set hash table on every call — the round-1 fixed
     cost that forced few large blocks), per-batch cost is
@@ -551,24 +592,14 @@ class CanonicalRewriter:
     and scales with CPUs.
     """
 
-    def __init__(self, mapping_ref, drop_sameas: bool = True):
-        mapping = mapping_ref
-        if isinstance(mapping, ray.ObjectRef):
-            mapping = ray.get(mapping)
-        if isinstance(mapping, dict):
-            mapping = (
-                pa.array(list(mapping.keys()), pa.large_string()),
-                pa.array(list(mapping.values()), pa.large_string()),
-            )
-        if len(mapping) == 2:  # raw (keys, vals): build the LUT locally
-            mapping = build_rewrite_lut(*mapping)
+    def __init__(self, lut: tuple, drop_sameas: bool = True):
         (
             self.keys_sorted,
             self.vals_sorted,
             self.kh_sorted,
             self.prefix_bitmap,
             self.hash_unique,
-        ) = mapping
+        ) = lut
         self.drop_sameas = drop_sameas
 
     def _rewrite(self, col: pa.ChunkedArray, probe_mask: "np.ndarray | None" = None):
@@ -640,54 +671,31 @@ class CanonicalRewriter:
 
 def canonicalize_stage(
     triples: Dataset,
-    mapping: dict[str, str],
+    lut_ref: "ray.ObjectRef",
     *,
     drop_sameas: bool = True,
     batch_size: int | None = 65536,
-    concurrency: int | tuple[int, int] = (1, 4),
-    use_actors: bool = False,
     local_dedup: bool = False,
 ) -> Dataset:
-    """Vectorized alias→canonical rewrite over a broadcast mapping.
+    """Vectorized alias→canonical rewrite over the plasma-resident LUT
+    that :func:`lut_ref_from_edges` returns.
 
-    Default is task-mode (per-worker-process cached broadcast, see
-    link_stage docstring); ``use_actors=True`` gives the classic actor
-    pool.  ``local_dedup=True`` folds a within-batch exact-triple dedup
-    into the same stage (cheap combiner before any global dedup).
+    Stateless tasks with a per-worker-process cached :class:`CanonicalRewriter`
+    (see link_stage docstring).  ``local_dedup=True`` folds a within-batch
+    exact-triple dedup into the same stage (cheap combiner before any
+    global dedup).
     """
-    if isinstance(mapping, ray.ObjectRef):
-        # pre-built LUT living in plasma (collect_sameas_lut_ref) — the
-        # driver never touches the mapping bytes at all
-        mapping_ref = mapping
-    else:
-        if isinstance(mapping, dict):
-            mapping = (
-                pa.array(list(mapping.keys()), pa.large_string()),
-                pa.array(list(mapping.values()), pa.large_string()),
-            )
-        if len(mapping) == 2:
-            # build the sorted-hash LUT ONCE here; workers read it zero-copy
-            mapping = build_rewrite_lut(*mapping)
-        mapping_ref = ray.put(mapping)
-    if use_actors:
-        return triples.map_batches(
-            CanonicalRewriter,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"mapping_ref": mapping_ref, "drop_sameas": drop_sameas},
-            zero_copy_batch=True,
-        )
-
     from .link import _cached_get
 
     def rewrite_fn(batch: pa.Table) -> pa.Table:
-        key = "rewriter:" + mapping_ref.hex()
+        # imported in the task: a closed-over dict would be pickled by
+        # value, giving every task a fresh, empty cache
         from .link import _BROADCAST_CACHE
 
+        key = "rewriter:" + lut_ref.hex()
         rw = _BROADCAST_CACHE.get(key)
         if rw is None:
-            rw = CanonicalRewriter(_cached_get(mapping_ref), drop_sameas=drop_sameas)
+            rw = CanonicalRewriter(_cached_get(lut_ref), drop_sameas=drop_sameas)
             _BROADCAST_CACHE[key] = rw
         out = rw(batch)
         if local_dedup:

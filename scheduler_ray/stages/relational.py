@@ -495,8 +495,9 @@ def group_prefix_sum(
     first/last key runs' totals; the driver forward-propagates the carry
     a straddling key accumulates across consecutive blocks and hands
     each block its first-key offset back (keyed by the block's first
-    (key, order) row — ``order_col`` must be unique per key).  Rows
-    never leave their block after the sort; no per-group Python.
+    (key, order) row — ``order_col`` must be unique per key; a duplicate
+    (key, order) pair raises ``ValueError``).  Rows never leave their
+    block after the sort; no per-group Python.
 
     ``exclusive=True`` returns the sum of STRICTLY PRIOR rows (the
     packing form: ``window = prefix_before // budget``).
@@ -517,37 +518,53 @@ def group_prefix_sum(
                 {
                     key: df[key],
                     "_ord": df[order_col],
+                    "_lord": df[order_col],
                     "_run": pd.Series([], dtype="int64"),
                     "_pos": pd.Series([], dtype="int64"),
+                    "_dup": pd.Series([], dtype="bool"),
                 }
             )
         k = df[key].to_numpy()
+        o = df[order_col].to_numpy()
         v = df[value_col].to_numpy(np.int64)
         starts, ends = _segments(k)
         first_total = int(v[starts[0] : ends[0]].sum())
         last_total = int(v[starts[-1] : ends[-1]].sum())
+        # a (key, order) pair repeated inside the block (sorted: adjacent)
+        dup = bool(((k[1:] == k[:-1]) & (o[1:] == o[:-1])).any())
         # pos 2 == single-key block (head and tail are the same run)
         if len(starts) == 1:
             return pd.DataFrame(
                 {
                     key: [k[0]],
-                    "_ord": [df[order_col].iloc[0]],
+                    "_ord": [o[0]],
+                    "_lord": [o[-1]],
                     "_run": [first_total],
                     "_pos": [2],
+                    "_dup": [dup],
                 }
             )
         return pd.DataFrame(
             {
                 key: [k[0], k[-1]],
-                "_ord": [df[order_col].iloc[0], df[order_col].iloc[0]],
+                "_ord": [o[0], o[0]],
+                "_lord": [o[-1], o[-1]],
                 "_run": [first_total, last_total],
                 "_pos": [0, 1],
+                "_dup": [dup, dup],
             }
         )
+
+    dup_msg = (
+        f"group_prefix_sum: ({key}, {order_col}) must be unique per group — "
+        f"add a tiebreak column to the order key"
+    )
 
     border = srt.map_batches(
         summary, batch_format="pandas", batch_size=None
     ).to_pandas()
+    if border["_dup"].any():
+        raise ValueError(dup_msg)
     # reassemble per-block summaries (blocks arrive in sorted order: a
     # single-key block is one _pos=2 row, a multi-key block a _pos=0
     # head + _pos=1 tail pair), then forward-propagate the carry a
@@ -558,15 +575,19 @@ def group_prefix_sum(
     while i < len(rows):
         r = rows[i]
         if r["_pos"] == 2:
-            blocks.append((r[key], r["_ord"], r["_run"], r[key], r["_run"], True))
+            blocks.append((r[key], r["_ord"], r["_run"], r[key], r["_lord"], r["_run"], True))
             i += 1
         else:
             r2 = rows[i + 1]
-            blocks.append((r[key], r["_ord"], r["_run"], r2[key], r2["_run"], False))
+            blocks.append((r[key], r["_ord"], r["_run"], r2[key], r2["_lord"], r2["_run"], False))
             i += 2
     offsets: dict = {}
     carry_key, carry = None, 0
-    for fk, ford, ft, lk, lt, single in blocks:
+    prev_last = None
+    for fk, ford, ft, lk, lord, lt, single in blocks:
+        if prev_last == (fk, ford):  # a duplicate straddling the border
+            raise ValueError(dup_msg)
+        prev_last = (lk, lord)
         off = carry if fk == carry_key else 0
         if off:
             offsets[(fk, ford)] = off
@@ -998,6 +1019,17 @@ def quantile_per_group(
     return sorted_map_groups(hist, [key], qtile)
 
 
+def _check_hex_cut(cut, nchars: int, what: str) -> None:
+    """A cut compares against an ``nchars``-char lowercase md5 hex prefix;
+    any other length or alphabet silently misbuckets every row."""
+    import re
+
+    if not (isinstance(cut, str) and re.fullmatch(f"[0-9a-f]{{{nchars}}}", cut)):
+        raise ValueError(
+            f"{what} must be exactly {nchars} lowercase hex chars, got {cut!r}"
+        )
+
+
 def hash_sample(ds: Dataset, on: str, *, max_hex: str = "28", nchars: int = 2) -> Dataset:
     """Deterministic content-hash downsampling: keep rows whose
     ``md5(str(key))`` hex prefix sorts below ``max_hex`` — the standard
@@ -1017,6 +1049,8 @@ def hash_sample(ds: Dataset, on: str, *, max_hex: str = "28", nchars: int = 2) -
     shuffle, no state.
     """
     import hashlib
+
+    _check_hex_cut(max_hex, nchars, "hash_sample max_hex")
 
     def filt(b: pd.DataFrame) -> pd.DataFrame:
         keys = b[on].astype(str)
@@ -1048,6 +1082,11 @@ def ntile_per_group(
 
     Exact SQL remainder semantics: with n rows and k buckets the first
     ``n % k`` buckets hold ``n // k + 1`` rows, the rest ``n // k``.
+
+    The order key must be unique per group, as for a deterministic SQL
+    NTILE: add a tiebreak column (e.g. the row id) as the second order
+    column.  A duplicate (key, order) pair raises ``ValueError`` — ranks
+    of tied rows would otherwise depend on the block layout.
 
     Scale shape: the composite order key packs into ONE int64 (bounds
     asserted — the ADVICE narrowing lesson: never pack silently), ranks
@@ -1143,6 +1182,8 @@ def hash_split(
     cuts = [("train", "cc"), ("val", "e6")] if cuts is None else cuts
     bounds = [c[1] for c in cuts]
     labels = np.array([c[0] for c in cuts] + [default_label])
+    for b in bounds:
+        _check_hex_cut(b, 2, "hash_split cut")
     if bounds != sorted(bounds):
         raise ValueError("hash_split cut points must be ascending")
 
@@ -1237,11 +1278,27 @@ def lag_per_group(
     block's last value as the first row's lag.  Rows never leave their
     block after the sort; the first row of each group lags NaN (SQL
     NULL).  ``order_cols`` must be unique per key (add a tiebreak id,
-    exactly like SQL's deterministic-LAG requirement).
+    exactly like SQL's deterministic-LAG requirement).  ``value_col``
+    must be numeric (integer, float or bool): the lag column is float64.
     """
+    import pyarrow as pa
+
     from .canonicalize import _drop_empty_blocks
 
     srt = _drop_empty_blocks(ds.sort([key] + order_cols)).materialize()
+    sch = srt.schema()
+    vtype = dict(zip(sch.names, sch.types)).get(value_col) if sch is not None else None
+    # Arrow blocks report pyarrow types, pandas blocks numpy dtypes (or
+    # ``object``)
+    numeric = (
+        pa.types.is_integer(vtype) or pa.types.is_floating(vtype) or pa.types.is_boolean(vtype)
+        if isinstance(vtype, pa.DataType)
+        else pd.api.types.is_numeric_dtype(vtype)
+    )
+    if vtype is not None and not numeric:
+        raise ValueError(
+            f"lag_per_group: value_col {value_col!r} must be numeric, got {vtype}"
+        )
 
     def _ident(df: pd.DataFrame, i: int) -> tuple:
         vals = [df[key].iloc[i]]

@@ -155,10 +155,13 @@ def test_canonicalize_joined_adversarial_topologies():
     import pyarrow as pa
     import ray.data as rd
 
+    import ray
+
     from scheduler_ray.stages.canonicalize import (
         CanonicalRewriter,
         canonicalize_stage_joined,
-        collect_sameas_arrays,
+        collect_sameas_edges,
+        lut_ref_from_edges,
     )
 
     P1 = "https://pids.geoconnex.dev/a/1"
@@ -210,8 +213,8 @@ def test_canonicalize_joined_adversarial_topologies():
         .sort_values(["pred", "subj", "obj"])
         .reset_index(drop=True)
     )
-    keys, vals = collect_sameas_arrays(rd.from_arrow(blocks))
-    rw = CanonicalRewriter((keys, vals), drop_sameas=True)
+    lut = ray.get(lut_ref_from_edges(collect_sameas_edges(rd.from_arrow(blocks))))
+    rw = CanonicalRewriter(lut, drop_sameas=True)
     want = (
         pa.concat_tables([rw(b) for b in blocks])
         .to_pandas()

@@ -101,6 +101,29 @@ def test_config_from_env():
     assert cfg.sort_mode == "global" and cfg.salt_factor == 4
     with pytest.raises(ValueError):
         PipelineConfig.from_env({"SCHEDULER_RAY_EXPAND_BATCH_SIZE": "-5"})
+    # a variable naming no field fails fast (typos, removed fields) ...
+    for var in ("SCHEDULER_RAY_STAGING_DIR", "SCHEDULER_RAY_EXTRACT_BATCHSIZE"):
+        with pytest.raises(ValueError, match=var):
+            PipelineConfig.from_env({**env, var: "1"})
+    # ... except the phase-timings switch, which is not a config field
+    assert PipelineConfig.from_env({"SCHEDULER_RAY_TIMINGS": "1"}) == PipelineConfig()
+    # unrelated variables are not this config's business
+    assert PipelineConfig.from_env({"PATH": "/bin"}) == PipelineConfig()
+
+
+def test_config_sort_mode_validated():
+    """A sort_mode typo must not silently skip the single-pass writer."""
+    import pytest
+
+    from scheduler_ray.config import PipelineConfig
+
+    for mode in ("local", "global"):
+        assert PipelineConfig(sort_mode=mode).validate().sort_mode == mode
+    for bad in ("globl", "ranged", ""):
+        with pytest.raises(ValueError, match="sort_mode"):
+            PipelineConfig(sort_mode=bad).validate()
+    with pytest.raises(ValueError, match="sort_mode"):
+        PipelineConfig.from_env({"SCHEDULER_RAY_SORT_MODE": "globl"})
 
 
 def test_failure_report():

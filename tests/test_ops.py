@@ -2191,6 +2191,43 @@ def test_ntile_pack_budget_raises():
         rel.ntile_per_group(ds, "g", ["hi", "lo"], 4).materialize()
 
 
+def test_ntile_duplicate_order_key_raises():
+    """ntile_per_group needs a unique order key per group: a repeated
+    (key, order) pair raises ValueError under any block layout, instead
+    of ranking the tied rows by layout."""
+    df = pd.DataFrame({"g": ["a"] * 6 + ["b"] * 2, "o": [0, 1, 2, 2, 3, 4, 0, 1]})
+    for parts in (1, 3, 8):
+        ds = rd.from_pandas(df).repartition(parts)
+        with pytest.raises(ValueError, match="unique"):
+            rel.ntile_per_group(ds, "g", ["o"], 2).materialize()
+    # the same groups with a tiebreak are fine
+    df["id"] = range(len(df))
+    out = rel.ntile_per_group(rd.from_pandas(df), "g", ["o", "id"], 2).to_pandas()
+    assert len(out) == len(df)
+
+
+def test_hash_cuts_must_be_lowercase_hex_of_prefix_length():
+    """hash_split / hash_sample compare cuts against a fixed-length
+    lowercase md5 prefix; a cut of another length or alphabet raises."""
+    ds = rd.from_pandas(pd.DataFrame({"doc_id": range(10)}))
+    for bad in ("c", "ccc", "CC", "zz", 12):
+        with pytest.raises(ValueError, match="lowercase hex"):
+            rel.hash_split(ds, "doc_id", [("train", bad)])
+        with pytest.raises(ValueError, match="lowercase hex"):
+            rel.hash_sample(ds, "doc_id", max_hex=bad)
+    with pytest.raises(ValueError, match="lowercase hex"):
+        rel.hash_sample(ds, "doc_id", max_hex="28", nchars=3)
+    assert rel.hash_sample(ds, "doc_id", max_hex="280", nchars=3).count() >= 0
+
+
+def test_lag_rejects_non_numeric_value_col():
+    """lag_per_group emits a float64 lag: a string value column fails up
+    front with a ValueError naming it."""
+    df = pd.DataFrame({"g": ["a", "a", "b"], "o": [0, 1, 0], "v": ["x", "y", "z"]})
+    with pytest.raises(ValueError, match="'v' must be numeric"):
+        rel.lag_per_group(rd.from_pandas(df), "g", ["o"], "v")
+
+
 def test_mode_per_group_tie_deterministic():
     """Per-group MODE (histogram partials + topk_per_group k=1) resolves
     count ties to the lexicographically smallest value, independent of

@@ -96,9 +96,10 @@ def test_single_batch_combiner_matches_naive_uf(edges):
 def test_cross_batch_merge_matches_naive_uf(edges, n_splits):
     """Splitting the edges across blocks and merging distributed must give
     the same mapping as the naive single-pass union-find."""
+    import ray
     import ray.data as rd
 
-    from scheduler_ray.stages.canonicalize import collect_sameas_arrays
+    from scheduler_ray.stages.canonicalize import collect_sameas_edges, lut_ref_from_edges
 
     rows = [
         {"subj": a, "pred": "owl:sameAs", "obj": b, "obj_is_literal": False, "graph": "g"}
@@ -107,9 +108,49 @@ def test_cross_batch_merge_matches_naive_uf(edges, n_splits):
     if not rows:
         return
     ds = rd.from_items(rows).repartition(n_splits)
-    keys, vals = collect_sameas_arrays(ds)
+    keys, vals = ray.get(lut_ref_from_edges(collect_sameas_edges(ds)))[:2]
     got = dict(zip(keys.to_pylist(), vals.to_pylist()))
     assert got == _naive_canonical(edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(edges_st, min_size=1, max_size=12),
+    st.integers(2, 5),
+    st.integers(2, 5),
+)
+def test_pair_files_and_block_refs_build_identical_luts(tmp_path_factory, blocks, f_files, f_refs):
+    """The one LUT builder, fed pair files (the single-pass writer's way)
+    and edge-Dataset block refs (the two-pass way, lut_ref_from_edges),
+    builds array-identical LUTs — the naive-UF mapping — for any per-block
+    pair tables and fanouts."""
+    import os
+
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from scheduler_ray.stages.canonicalize import _PairMerger, lut_ref_from_edges
+    from scheduler_ray.state.fs import LocalFS
+
+    tables = [sameas_edges_batch(_batch_of_edges(edges)) for edges in blocks]
+    d = str(tmp_path_factory.mktemp("pairs"))
+    merger = _PairMerger(LocalFS(), merge_fanout=f_files)
+    for i, t in enumerate(tables):
+        path = os.path.join(d, f"pairs-{i}.parquet")
+        pq.write_table(t, path)
+        merger.add(path)
+    from_files = ray.get(merger.finish())
+    from_refs = ray.get(lut_ref_from_edges(rd.from_arrow(tables), merge_fanout=f_refs))
+    assert len(from_files) == len(from_refs) == 5
+    for a, b in zip(from_files, from_refs):
+        if a is None or b is None:
+            assert a is b
+        else:
+            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+    got = dict(zip(from_files[0].to_pylist(), from_files[1].to_pylist()))
+    assert got == _naive_canonical([e for edges in blocks for e in edges])
 
 
 # --------------------------- JSON-LD expansion properties (round 2)

@@ -9,6 +9,7 @@ import pyarrow as pa
 from scheduler_ray.stages.canonicalize import (
     CanonicalRewriter,
     UnionFind,
+    build_rewrite_lut,
     sameas_edges_batch,
 )
 from scheduler_ray.stages.expand import TRIPLE_SCHEMA, expand_triples_batch
@@ -246,11 +247,50 @@ def test_sameas_combiner_and_rewriter():
     )
     edges = sameas_edges_batch(t)
     assert edges.num_rows >= 2
-    mapping = {"alias": "https://pids.geoconnex.dev/x/1", "prov": "https://pids.geoconnex.dev/x/1"}
-    rw = CanonicalRewriter(mapping)
+    pid = "https://pids.geoconnex.dev/x/1"
+    rw = CanonicalRewriter(
+        build_rewrite_lut(
+            pa.array(["alias", "prov"], pa.large_string()),
+            pa.array([pid, pid], pa.large_string()),
+        )
+    )
     out = rw(t)
     assert "owl:sameAs" not in out["pred"].to_pylist()
     assert out["subj"].to_pylist() == ["https://pids.geoconnex.dev/x/1", "keep"]
+
+
+def test_pair_merge_resolves_whole_conflict_component():
+    """Merging partial node→canon tables where one node has two canons
+    (V4) must close the WHOLE component: M7 is a member of the conflict
+    component and also heads a pair to another PID, so resolving only
+    the conflict's one-hop neighbourhood dropped the M7→P2 link and left
+    P2 outside the cluster (seen in multi-level merge trees)."""
+    from scheduler_ray.stages.canonicalize import (
+        _hash_large_string,
+        _merge_pair_tables,
+    )
+
+    P, M, V = "https://pids.geoconnex.dev/s/", "https://m.example/s/", "https://v.example/s/"
+
+    def pairs(rows):
+        na = pa.array([r[0] for r in rows], pa.large_string())
+        ra = pa.array([r[1] for r in rows], pa.large_string())
+        return pa.table(
+            {"node": na, "root": ra,
+             "node_hash": pa.array(_hash_large_string(na), pa.uint64()),
+             "root_hash": pa.array(_hash_large_string(ra), pa.uint64())}
+        )
+
+    merged = _merge_pair_tables(
+        [
+            pairs([(V + "20", M + "7"), (M + "2", P + "22")]),
+            pairs([(M + "7", P + "2"), (M + "9", M + "2"), (V + "4", V + "20")]),
+            pairs([(P + "22", P + "0"), (V + "4", M + "9")]),
+        ]
+    )
+    got = dict(zip(merged["node"].to_pylist(), merged["root"].to_pylist()))
+    members = [V + "20", M + "7", P + "2", V + "4", M + "9", M + "2", P + "22"]
+    assert got == {m: P + "0" for m in members}
 
 
 def test_registry_index_links_exact_name():

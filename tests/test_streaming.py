@@ -15,7 +15,6 @@ import pytest
 
 import ray.data as rd
 
-from scheduler_ray.config import PipelineConfig
 from scheduler_ray.pipelines import flagship
 from scheduler_ray.pipelines.streaming import write_canonical_single_pass
 from scheduler_ray.stages.expand import TRIPLE_SCHEMA
@@ -26,14 +25,10 @@ def _tripleset(df):
 
 
 def test_single_pass_matches_two_pass(fixture_sf0001, tmp_out):
-    one = flagship.run_flagship(
-        fixture_sf0001, out_dir=tmp_out, cfg=PipelineConfig(single_pass=True)
-    ).to_pandas()
-    two_dir = tmp_out + "_twopass"
-    shutil.rmtree(two_dir, ignore_errors=True)
-    two = flagship.run_flagship(
-        fixture_sf0001, out_dir=two_dir, cfg=PipelineConfig(single_pass=False)
-    ).to_pandas()
+    """The single-pass writer (out_dir) and the two-pass canonical
+    Dataset (no out_dir) are the same graph."""
+    one = flagship.run_flagship(fixture_sf0001, out_dir=tmp_out).to_pandas()
+    two = flagship.run_flagship(fixture_sf0001).to_pandas()
     assert len(one) == len(two) == 2824
     assert _tripleset(one) == _tripleset(two)
     assert list(one.columns) == [f.name for f in TRIPLE_SCHEMA]
@@ -145,9 +140,12 @@ def test_cross_batch_fixup_at_volume(tmp_out):
     import numpy as np
     import pandas as pd
 
+    import ray
+
     from scheduler_ray.stages.canonicalize import (
         CanonicalRewriter,
-        collect_sameas_arrays,
+        collect_sameas_edges,
+        lut_ref_from_edges,
     )
 
     n = 200
@@ -171,8 +169,7 @@ def test_cross_batch_fixup_at_volume(tmp_out):
     got = flagship.read_graph(tmp_out).to_pandas()
     one = _tripleset(got)
     # two-pass oracle: global mapping + broadcast rewrite over the union
-    keys, vals = collect_sameas_arrays(ds.materialize())
-    rw = CanonicalRewriter((keys, vals))
+    rw = CanonicalRewriter(ray.get(lut_ref_from_edges(collect_sameas_edges(ds))))
     import pyarrow as pa
 
     all_rows = pa.concat_tables(tables)
@@ -360,50 +357,64 @@ def test_fsspec_fs_contract_memory_protocol():
     assert fs.list(f"{base}/a") == []
 
 
+def _pair_table(nodes, roots):
+    from scheduler_ray.stages.canonicalize import _hash_large_string
+
+    na = pa.array(nodes, pa.large_string())
+    ra = pa.array(roots, pa.large_string())
+    return pa.table(
+        {"node": na, "root": ra,
+         "node_hash": pa.array(_hash_large_string(na), pa.uint64()),
+         "root_hash": pa.array(_hash_large_string(ra), pa.uint64())}
+    )
+
+
 def test_pair_merger_eager_collapse_matches_direct(tmp_path):
-    """The incremental merger (leaf launches + eager intermediate collapse,
-    the path taken at production block counts) must yield the same LUT as
-    the direct tree merge over the same files."""
+    """The shared LUT builder's incremental path (leaf launches + eager
+    intermediate collapse, the path taken at production block counts)
+    must yield the same LUT as a single leaf over the same files, and as
+    an unsharded build over all pairs."""
     import numpy as np
     import pyarrow.parquet as pq
     import ray
 
-    from scheduler_ray.pipelines.streaming import (
-        _merge_pair_files_to_lut,
+    from scheduler_ray.stages.canonicalize import (
+        _merge_pair_tables,
         _PairMerger,
+        build_rewrite_lut,
     )
     from scheduler_ray.state.fs import LocalFS
 
     rng = np.random.default_rng(3)
-    paths = []
+    paths, tables = [], []
     # 40 files with fanout 2 → leaf refs exceed fanout*2, forcing the
     # eager-collapse branch inside add()
     for i in range(40):
         n = int(rng.integers(1, 6))
-        nodes = [f"n{int(rng.integers(0, 30))}" for _ in range(n)]
-        roots = [f"r{int(rng.integers(0, 5))}" for _ in range(n)]
-        from scheduler_ray.stages.canonicalize import _hash_large_string
-
-        na = pa.array(nodes, pa.large_string())
-        ra = pa.array(roots, pa.large_string())
-        t = pa.table(
-            {"node": na, "root": ra,
-             "node_hash": pa.array(_hash_large_string(na), pa.uint64()),
-             "root_hash": pa.array(_hash_large_string(ra), pa.uint64())}
+        t = _pair_table(
+            [f"n{int(rng.integers(0, 30))}" for _ in range(n)],
+            [f"r{int(rng.integers(0, 5))}" for _ in range(n)],
         )
         p = str(tmp_path / f"pairs-{i}.parquet")
         pq.write_table(t, p)
         paths.append(p)
+        tables.append(t)
 
     fs = LocalFS()
-    direct = ray.get(_merge_pair_files_to_lut(paths, fs, merge_fanout=2))
-    m = _PairMerger(fs, merge_fanout=2)
-    for p in paths:
-        m.add(p)
-    incremental = ray.get(m.finish())
-    assert m.n_files == 40
-    for a, b in zip(direct, incremental):
-        np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+    luts = []
+    for fanout in (2, 64):
+        m = _PairMerger(fs, merge_fanout=fanout)
+        for p in paths:
+            m.add(p)
+        luts.append(ray.get(m.finish()))
+        assert m.n_parts == 40
+    merged = _merge_pair_tables(tables)
+    luts.append(
+        build_rewrite_lut(merged["node"].combine_chunks(), merged["root"].combine_chunks())
+    )
+    for lut in luts[1:]:
+        for a, b in zip(luts[0], lut):
+            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
 def test_sharded_lut_conflicted_alias_key_escape(ray_session):
@@ -418,26 +429,17 @@ def test_sharded_lut_conflicted_alias_key_escape(ray_session):
 
     import ray
 
-    from scheduler_ray.pipelines.streaming import (
+    from scheduler_ray.stages.canonicalize import (
         _LUT_SHARD_BITS,
+        CanonicalRewriter,
         _concat_lut_shards,
         _finish_lut_shard,
-    )
-    from scheduler_ray.stages.canonicalize import (
-        CanonicalRewriter,
-        _hash_large_string,
         _merge_pair_tables,
         build_rewrite_lut,
     )
 
     def mkpairs(pairs):
-        na = pa.array([p[0] for p in pairs], pa.large_string())
-        ra = pa.array([p[1] for p in pairs], pa.large_string())
-        return pa.table(
-            {"node": na, "root": ra,
-             "node_hash": pa.array(_hash_large_string(na), pa.uint64()),
-             "root_hash": pa.array(_hash_large_string(ra), pa.uint64())}
-        )
+        return _pair_table([p[0] for p in pairs], [p[1] for p in pairs])
 
     # conflicts (a_i → two roots), chains (root chains to a pid) and
     # plain pairs, split across two leaf tables like the streaming merger
@@ -450,6 +452,7 @@ def test_sharded_lut_conflicted_alias_key_escape(ray_session):
         [(f"https://p.example/r/{i}", f"https://pids.example/s/{i}") for i in range(50)]
         + [(f"https://m.example/b/{i}", f"https://pids.example/z/{i}") for i in range(20)]
     )
+    # both leaf tables reach the sharded finish unmerged
     refs = [ray.put(t1), ray.put(t2)]
     shard_refs = [
         _finish_lut_shard.remote(s, *refs) for s in range(1 << _LUT_SHARD_BITS)

@@ -128,7 +128,7 @@ def _q_kg_merge_dedup(sf_dir: str):
     # Distinct via the sorted-agg primitive: Ray's groupby reduce runs
     # per-GROUP Python accumulators, which at triple cardinality (one
     # group per distinct triple) would dominate the merge at scale.
-    from scheduler_ray.stages.canonicalize import sorted_agg_by
+    from scheduler_ray.stages.segments import sorted_agg_by
 
     ds = _q_kg_canonical(sf_dir).materialize()
     merged = ds.union(ds)

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: the env prefix ``from_env`` reads; ``SCHEDULER_RAY_TIMINGS`` (phase
-#: timings to stderr, read by flagship._phase_log) is the one prefixed
-#: variable that is not a config field
+#: the env prefix ``from_env`` reads
 ENV_PREFIX = "SCHEDULER_RAY_"
-NON_FIELD_ENV = frozenset({"SCHEDULER_RAY_TIMINGS"})
 
 SORT_MODES = ("local", "global")
 
@@ -94,8 +91,7 @@ class PipelineConfig:
         dataclass field, e.g. ``SCHEDULER_RAY_EXTRACT_BATCH_SIZE=2048``,
         ``SCHEDULER_RAY_VALIDATE_DOCS=false``, ``SCHEDULER_RAY_SORT_MODE=
         global``.  Any other ``SCHEDULER_RAY_*`` variable (a typo, or a
-        removed field) raises ``ValueError``, except
-        ``SCHEDULER_RAY_TIMINGS``.
+        removed field) raises ``ValueError``.
         """
         import dataclasses
         import os as _os
@@ -108,7 +104,6 @@ class PipelineConfig:
             k
             for k in environ
             if k.startswith(ENV_PREFIX)
-            and k not in NON_FIELD_ENV
             and k[len(ENV_PREFIX):].lower() not in fields
         )
         if unknown:

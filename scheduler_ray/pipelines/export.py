@@ -103,7 +103,7 @@ def _pivot_grouped(canon: Dataset) -> Dataset:
 
     import ray
 
-    from ..stages.canonicalize import _drop_empty_blocks
+    from ..stages.segments import _drop_empty_blocks
 
     field_preds = pa.array(sorted(_FIELD_PREDS), pa.large_string())
     geo_preds = pa.array(sorted(_GEO_PREDS), pa.large_string())
@@ -200,7 +200,7 @@ def feature_table(canon: Dataset, *, pivot_mode: str = "contiguous") -> Dataset:
     # aggregate: the latter's reduce runs per-GROUP Python accumulators
     # (measured ~165 s per 150k groups), which at registry scale (3.2M
     # features) would dominate the export end-to-end
-    from ..stages.canonicalize import sorted_agg_by
+    from ..stages.segments import sorted_agg_by
 
     merged = sorted_agg_by(
         partial,

@@ -70,19 +70,6 @@ def raw_triples(
     )
 
 
-import os as _os
-import time as _time
-
-
-def _phase_log(label: str, t0: float) -> float:
-    """Phase timings to stderr when SCHEDULER_RAY_TIMINGS is set."""
-    if _os.environ.get("SCHEDULER_RAY_TIMINGS"):
-        import sys
-
-        print(f"PHASE {label}: {_time.time() - t0:.2f}s", file=sys.stderr, flush=True)
-    return _time.time()
-
-
 def canonical_triples(
     pages: Dataset,
     registry: pd.DataFrame,
@@ -92,11 +79,7 @@ def canonical_triples(
 ) -> Dataset:
     """pages → canonical deduped triples (unsorted; sort happens at write)."""
     cfg = (cfg or PipelineConfig()).validate()
-    t0 = _time.time()
-    tri = raw_triples(pages, registry, sources, cfg, index_cache_path)
-    t0 = _phase_log("build_raw_plan", t0)
-    tri = tri.materialize()
-    t0 = _phase_log("materialize_raw", t0)
+    tri = raw_triples(pages, registry, sources, cfg, index_cache_path).materialize()
     # one combiner pass compresses the alias pairs to a (tiny,
     # materialized) edge Dataset; its row count — free metadata — drives
     # the broadcast-vs-joined switch (ROADMAP §2): above
@@ -109,7 +92,6 @@ def canonical_triples(
     edges = collect_sameas_edges(tri)
     n_pairs = edges.count()
     if cfg.canon_broadcast_max_pairs and n_pairs > cfg.canon_broadcast_max_pairs:
-        t0 = _phase_log("collect_edges", t0)
         return canonicalize_stage_joined(
             tri,
             edges,
@@ -119,7 +101,6 @@ def canonical_triples(
     # worker-side merge → remote LUT build; only the ObjectRef comes
     # back (the driver never holds the mapping bytes)
     lut_ref = lut_ref_from_edges(edges)
-    t0 = _phase_log("collect_mapping", t0)
     return canonicalize_stage(
         tri,
         lut_ref,
@@ -299,7 +280,6 @@ def run_flagship(
     if out_dir and cfg.sort_mode == "local":
         from .streaming import write_canonical_single_pass
 
-        t0 = _time.time()
         raw = raw_triples(pages, registry, sources, cfg, cache)
         write_canonical_single_pass(
             raw, out_dir, drop_sameas=cfg.drop_sameas, resume=cfg.file_resume,
@@ -308,7 +288,6 @@ def run_flagship(
             # instead of merging one plasma LUT (ROADMAP §2)
             lut_max_pairs=cfg.canon_broadcast_max_pairs or None,
         )
-        _phase_log("single_pass_write", t0)
         return read_graph(out_dir)
 
     canon = canonical_triples(
@@ -316,12 +295,10 @@ def run_flagship(
         index_cache_path=cache,
     )
     if out_dir:
-        t0 = _time.time()
         # Ray's sort range-partitions then sorts — the output files ARE
         # globally ordered by (pred, subj)
         canon.sort(["pred", "subj"]).write_parquet(
             out_dir, partition_cols=[cfg.partition_col]
         )
-        _phase_log("sort_write", t0)
         return read_graph(out_dir)
     return canon

@@ -407,7 +407,7 @@ def q_event_window_distinct(sf_dir: str):
     → global distinct over the composite key (each (u, w, type) then
     lives exactly once) → per-block count partials → summed.  The raw
     event stream never shuffles; only (u, w, type) distinct rows do."""
-    from ..stages.canonicalize import sorted_agg_by
+    from ..stages.segments import sorted_agg_by
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -453,7 +453,7 @@ def q_events_asof(sf_dir: str):
     range-sort, per-key vectorized searchsorted, no broadcast of either
     side).  The purchase side is deduped to unique (user, ts) first
     (max value) so the match is deterministic on both engines."""
-    from ..stages.canonicalize import sorted_agg_by
+    from ..stages.segments import sorted_agg_by
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
@@ -893,7 +893,7 @@ def q_text_fingerprint(sf_dir: str):
         ]
         return pd.concat(frames, ignore_index=True).astype("int64")
 
-    from ..stages.canonicalize import sorted_map_groups
+    from ..stages.segments import sorted_map_groups
 
     out = sorted_map_groups(fps, ["fingerprint"], pairs).to_pandas()
     keep = (
@@ -1763,8 +1763,8 @@ FROM events GROUP BY user_id
 def q_event_lag_delta(sf_dir: str):
     """Per-user change detection: each event's value delta vs the user's
     PREVIOUS event (``relational.lag_per_group`` — distributed window
-    navigation).  One range-sort; only 2×#blocks border rows reach the
-    driver; first-in-group rows (SQL NULL lag) are filtered so the
+    navigation).  One range-sort; a straddling user's last value is
+    carried between blocks on workers; first-in-group rows (SQL NULL lag) are filtered so the
     oracle never compares NaN against NULL."""
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     lagged = rel.lag_per_group(
@@ -1803,7 +1803,7 @@ def q_doc_langs_concat(sf_dir: str):
     bounded (source, lang) pairs (``sorted_agg_by`` with empty aggs —
     the raw corpus never shuffles, only distinct partials) →
     ``sorted_map_groups`` join into one sorted comma-list per source."""
-    from ..stages.canonicalize import sorted_agg_by, sorted_map_groups
+    from ..stages.segments import sorted_agg_by, sorted_map_groups
 
     docs = _read(sf_dir, "documents", ["source", "lang"])
     dist = sorted_agg_by(docs, ["source", "lang"], {})

@@ -400,10 +400,10 @@ def write_canonical_single_pass(
     count crosses it mid-stream, the broadcast LUT merge is abandoned
     and the fixup runs as a distributed second pass
     (:func:`_distributed_fixup`) — no single object ever holds the
-    mapping (None/0 = no gate).  Returns a summary dict."""
-    from .flagship import _phase_log
-    import time as _time
-
+    mapping (None/0 = no gate).  Returns a summary dict: ``files``,
+    ``rows``, ``fixed_files``, ``skipped_files``, whether the gate sent
+    the fixup down the distributed path (``distributed_fixup``) and the
+    compressed sameAs pair count that decided it (``sameas_pairs``)."""
     fs = fs or LocalFS()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -415,7 +415,6 @@ def write_canonical_single_pass(
     # reduction OVERLAPS the main execution instead of being a serial tail
     # after it.  (Also: no object-store LIST calls — pair/sidecar paths
     # are derived from the manifest stems.)
-    t0 = _time.time()
     merger = _PairMerger(fs)
     man_tables: list[pa.Table] = []
     seen_stems: set[str] = set()
@@ -451,7 +450,6 @@ def write_canonical_single_pass(
     manifests = (
         pa.concat_tables(man_tables) if man_tables else MANIFEST_SCHEMA.empty_table()
     ).to_pandas()
-    t0 = _phase_log("  sp:execute", t0)
 
     fixed = 0
     replaced: list[str] = []
@@ -463,18 +461,12 @@ def write_canonical_single_pass(
         new_files = set(manifests["file"].tolist())
         replaced = sorted(old_files - new_files)
         fixed = len(replaced)
-        t0 = _phase_log("  sp:distributed_fixup", t0)
     elif merger.n_parts:
         # no pair file at all → nothing can need a fixup
         lut_ref = merger.finish()
         sidecars = [
             os.path.join(out_dir, SIDECAR_DIR, f"{s}.npy") for s in sorted(seen_stems)
         ]
-        if os.environ.get("SCHEDULER_RAY_TIMINGS"):
-            ray.wait([lut_ref])
-            t0 = _phase_log(
-                f"  sp:lut_merge({merger.n_parts}p/{len(sidecars)}s)", t0
-            )
         group = 32
         flag_refs = [
             _flag_sidecars.remote(sidecars[i : i + group], lut_ref, fs)
@@ -484,7 +476,6 @@ def write_canonical_single_pass(
         flagged_stems = {
             os.path.basename(s)[: -len(".npy")] for s, f in zip(sidecars, flags) if f
         }
-        t0 = _phase_log("  sp:flag", t0)
         if flagged_stems:
             todo = manifests.index[manifests["stem"].isin(flagged_stems)]
             fixed = len(todo)
@@ -500,7 +491,6 @@ def write_canonical_single_pass(
                     replaced.append(old)
                 manifests.loc[i, "file"] = new_path
                 manifests.loc[i, "rows"] = rows
-    t0 = _phase_log("  sp:fixup", t0)
     # COMMIT: one small object naming the live files; only then delete
     # fixed-up predecessors and scratch sidecars
     write_commit_manifest(
@@ -513,10 +503,11 @@ def write_canonical_single_pass(
         fs.delete(old)
     fs.delete_prefix(os.path.join(out_dir, PAIRS_DIR))
     fs.delete_prefix(os.path.join(out_dir, SIDECAR_DIR))
-    _phase_log("  sp:commit_cleanup", t0)
     return {
         "files": int(len(manifests)),
         "rows": int(manifests["rows"].sum()) if len(manifests) else 0,
         "fixed_files": int(fixed),
         "skipped_files": int(manifests["skipped"].sum()) if len(manifests) else 0,
+        "distributed_fixup": distributed,
+        "sameas_pairs": int(total_pairs),
     }

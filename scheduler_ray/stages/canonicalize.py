@@ -43,6 +43,7 @@ import ray
 from ray.data import Dataset
 
 from .expand import SAME_AS, SAME_AS_IRI
+from .segments import _drop_empty_blocks, sorted_agg_by
 
 PID_PREFIX = "https://pids.geoconnex.dev/"
 
@@ -710,32 +711,6 @@ def canonicalize_stage(
     )
 
 
-def _drop_empty_blocks(ds: Dataset) -> Dataset:
-    """Rebuild a dataset from its non-empty block refs (metadata-only on
-    the driver — no block bytes are fetched).
-
-    Why: Ray's sort/aggregate shuffles emit zero-row blocks for empty
-    partitions, and ``map_batches`` passes empty blocks through WITHOUT
-    calling the UDF — re-emitting them as zero-COLUMN tables.  A
-    zero-column block poisons any downstream ``Dataset.join`` (the acero
-    per-partition join raises ``No match ... for FieldRef``).  Every
-    map-before-join boundary in the joined-canonicalization path routes
-    through this filter.
-    """
-    import ray.data as rd
-
-    m = ds.materialize()
-    refs, total = [], 0
-    for b in m.iter_internal_ref_bundles():
-        for ref, meta in zip(b.block_refs, b.metadata):
-            total += 1
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
-    if not refs or len(refs) == total:
-        return m
-    return rd.from_arrow_refs(refs)
-
-
 def canonicalize_stage_joined(
     triples: Dataset,
     edges: Dataset | None = None,
@@ -854,238 +829,6 @@ def canonicalize_stage_joined(
         return t
 
     return out.map_batches(_apply_obj, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def sorted_agg_by(
-    ds: Dataset, key: "str | list[str]", aggs: "dict[str, str]"
-) -> Dataset:
-    """Distributed per-key min/max/sum of value columns WITHOUT Ray's
-    groupby aggregate.  ``aggs`` maps value column → "min" | "max" |
-    "sum" (any aggregate that is associative over per-block partials —
-    the border fixup below re-reduces partial rows, which is exact for
-    exactly that class); an EMPTY ``aggs`` makes this a distributed
-    DISTINCT over the key column(s).  ``key`` may be a list for
-    composite keys (string-typed composite keys must not contain NUL
-    bytes — the dup filter joins them with \\x00).
-
-    Ray's ``groupby(...).min(...)`` reduce runs per-group PYTHON
-    accumulators — measured ~165 s for 400k rows / 150k groups on 8
-    cpus regardless of key dtype or shuffle strategy, which made the
-    distributed-CC loop unusable at scale.  This path is all
-    vectorized C with an O(#blocks) driver term:
-
-    1. per-block pandas ``groupby(key).min()`` partial (combiner),
-    2. range-partition ``sort(key)`` (Arrow sort — measured 0.3 s on
-       the same input) so a key's partial rows land contiguously,
-    3. per-block partial again → a key now spans blocks only at block
-       BOUNDARIES, and every row of such a key is its block's first or
-       last row (interior blocks fully owned by a hot key contribute
-       their single partial row, which is both),
-    4. first+last rows per block (2 × #blocks — tiny) come to the
-       driver; keys seen in ≥2 blocks get their exact min recomputed
-       there and replace their per-block rows via a filtered union.
-
-    Everything stays ARROW end-to-end (pandas blocks pickle Python
-    string objects across the shuffle — measured ~10× slower): the
-    per-block partial is pyarrow's C++ hash aggregate (0.3 s vs Ray's
-    165 s on the same 400k-row input) and blocks ship zero-copy.
-
-    Returns a Dataset with columns ``(*keys, *aggs)``.
-    """
-    import ray.data as rd
-
-    keys = [key] if isinstance(key, str) else list(key)
-    vals = list(aggs)
-    cols = [*keys, *vals]
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(t.select(cols), keys).aggregate(
-            [(v, aggs[v]) for v in vals]
-        )
-        return g.rename_columns(cols)
-
-    # batch_size=None (WHOLE-block batches) is load-bearing on the
-    # post-sort passes: with the default 1024-row chunking a key can
-    # repeat INSIDE one block across chunks, where the border fixup
-    # below would never see it.
-    part = _drop_empty_blocks(
-        ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    )
-    srt = _drop_empty_blocks(part.sort(keys))
-    # MATERIALIZE the post-sort partials: the border pass below and the
-    # final drop_dup+union output are two separate consumers, and a lazy
-    # part2 would re-execute the whole upstream graph per consumer — 2×
-    # compute AND a correctness hazard (nothing pins Ray to identical
-    # block layouts across executions; a key straddling blocks only in
-    # the second execution would evade the border-derived dup filter).
-    # The materialized object is one partial row per key per block —
-    # result-sized, never the raw input.
-    part2 = _drop_empty_blocks(
-        srt.map_batches(
-            partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    ).materialize()
-
-    def border_rows(t: pa.Table) -> pa.Table:
-        # a 1-row block must emit its row ONCE: first-and-last is the
-        # same physical row, and emitting it twice flags the key as a
-        # block-straddler whose sum fixup then DOUBLE-COUNTS it (this
-        # corrupted per-key sums nondeterministically whenever the sort
-        # produced single-row blocks — caught by stratified_sample's
-        # quota oracle; min/max/distinct fixups were idempotently safe)
-        if t.num_rows <= 1:
-            return t
-        return pa.concat_tables([t.slice(0, 1), t.slice(t.num_rows - 1, 1)])
-
-    border = part2.map_batches(
-        border_rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).to_pandas()
-    dup_mask = border.duplicated(subset=keys, keep=False)
-    if not dup_mask.any():
-        return part2
-    dup_rows = border[dup_mask]
-    if vals:
-        fix = dup_rows.groupby(keys, as_index=False).agg(
-            {v: aggs[v] for v in vals}
-        )
-    else:
-        fix = dup_rows.drop_duplicates(subset=keys).reset_index(drop=True)
-    sample = part2.take_batch(1, batch_format="pyarrow")
-    schema = sample.schema
-    fix_tbl = pa.table(
-        {c: pa.array(fix[c], schema.field(c).type) for c in cols}
-    ).select(schema.names)
-
-    def _composite(t: pa.Table):
-        parts = [pc.cast(t[k], pa.large_string()) for k in keys]
-        out = parts[0]
-        for p2 in parts[1:]:
-            out = pc.binary_join_element_wise(
-                out, p2, pa.scalar("\x00", pa.large_string())
-            )
-        return out
-
-    if len(keys) == 1:
-        dup_arr = pa.array(sorted(fix[keys[0]]), schema.field(keys[0]).type)
-
-        def drop_dup(t: pa.Table) -> pa.Table:
-            return t.filter(pc.invert(pc.is_in(t[keys[0]], value_set=dup_arr)))
-
-    else:
-        # Build the dup value-set from fix_tbl via the SAME Arrow cast as
-        # the per-block filter below — pandas .astype(str) renders floats
-        # differently from Arrow's cast ('1.0' vs '1'), which would let
-        # superseded per-block partial rows silently survive (round-4
-        # advice).
-        dup_arr = pa.array(_composite(fix_tbl).to_pylist(), pa.large_string())
-
-        def drop_dup(t: pa.Table) -> pa.Table:
-            comp = _composite(t)
-            return t.filter(pc.invert(pc.is_in(comp, value_set=dup_arr)))
-
-    # the dup filter can empty a block entirely; a later map (e.g. the
-    # CC loop's rename) would re-emit it column-less and poison joins
-    return _drop_empty_blocks(
-        part2.map_batches(
-            drop_dup, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).union(rd.from_arrow(fix_tbl))
-    )
-
-
-def sorted_map_groups(ds: Dataset, keys: "list[str]", fn) -> Dataset:
-    """``groupby(keys).map_groups(fn)`` semantics without one Python UDF
-    task per group.
-
-    Ray's map_groups reduce builds a sub-block and calls the UDF once
-    per GROUP (~0.5-1 ms each) — at corpus-scale group counts (LSH
-    buckets, candidate pairs) that is hours of pure overhead.  Here:
-    range-sort on ``keys`` → per-BLOCK vectorized segment split → ``fn``
-    runs per segment as a plain function call; only the O(#blocks)
-    groups that straddle block boundaries fall back to Ray's real
-    map_groups (exact whole-group semantics, trivially few groups).
-
-    ``fn``: pandas group frame → pandas frame — the same contract as
-    ``Dataset.map_groups(fn, batch_format="pandas")``: like map_groups,
-    ``fn`` is NEVER invoked on an empty frame (blocks whose segments are
-    all boundary straddlers yield no batch at all — round-4 advice; the
-    old version called ``fn(df.head(0))`` there, crashing UDFs that do
-    ``g.iloc[0]`` on rare block layouts).  Output row order differs from
-    map_groups (callers must be order-insensitive).
-    Straddler routing uses a 64-bit key-row hash; a collision only sends
-    an extra group to the fallback path (processed exactly once either
-    way), never drops or duplicates one.
-    """
-    import pandas as pd
-
-    # materialize once: border detection, the main per-segment pass and
-    # the straddler fallback are up to THREE consumers of the sorted
-    # stream — lazily each would re-execute the full upstream graph, and
-    # a layout change between executions would let a straddling group
-    # evade the border-derived dup set and be processed as two separate
-    # segments (wrong results).  Pinning the blocks makes the contract
-    # exact and pays the sort's own buffering cost only once.
-    srt = _drop_empty_blocks(ds.sort(keys)).materialize()
-
-    def border_keys(t: pa.Table) -> pa.Table:
-        k = t.select(keys)
-        if t.num_rows == 0:
-            return k
-        if t.num_rows == 1:
-            # single physical row — emit once (twice would flag the key
-            # as a straddler and route it to the fallback needlessly)
-            return k.slice(0, 1)
-        return pa.concat_tables([k.slice(0, 1), k.slice(t.num_rows - 1, 1)])
-
-    bk = srt.map_batches(
-        border_keys, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).to_pandas()
-    dup_df = bk[bk.duplicated(subset=keys, keep=False)].drop_duplicates(subset=keys)
-    dup_set = frozenset(
-        pd.util.hash_pandas_object(dup_df[keys], index=False).to_numpy(np.uint64)
-    )
-
-    def _segments(df: pd.DataFrame):
-        brk = np.zeros(len(df), bool)
-        brk[0] = True
-        for kcol in keys:
-            v = df[kcol].to_numpy()
-            brk[1:] |= v[1:] != v[:-1]
-        starts = np.flatnonzero(brk)
-        return starts, np.append(starts[1:], len(df))
-
-    def block_apply(df: pd.DataFrame):
-        # generator UDF: a block whose segments are all straddlers (or an
-        # empty block) yields NOTHING — fn never sees an empty frame
-        if not len(df):
-            return
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy(np.uint64)
-        starts, ends = _segments(df)
-        outs = []
-        for s, e in zip(starts, ends):
-            if h[s] in dup_set:
-                continue  # boundary-straddling group → fallback pass
-            out = fn(df.iloc[s:e])
-            if len(out):
-                outs.append(out)
-        if outs:
-            yield pd.concat(outs, ignore_index=True)
-
-    main = srt.map_batches(block_apply, batch_format="pandas", batch_size=None)
-    if not dup_set:
-        return _drop_empty_blocks(main)
-
-    def only_dup(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy(np.uint64)
-        return df[np.isin(h, np.fromiter(dup_set, np.uint64))]
-
-    strag = (
-        srt.map_batches(only_dup, batch_format="pandas", batch_size=None)
-        .groupby(keys)
-        .map_groups(fn, batch_format="pandas")
-    )
-    return _drop_empty_blocks(main.union(strag))
 
 
 def connected_components_distributed(

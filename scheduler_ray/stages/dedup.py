@@ -112,91 +112,13 @@ def exact_dedup(docs: Dataset) -> Dataset:
     # per-hash global min via the sorted-agg primitive, NOT Ray's
     # groupby aggregate (per-GROUP Python accumulators — at corpus
     # cardinality the reduce would dominate the whole dedup)
-    from .canonicalize import sorted_agg_by
+    from .segments import sorted_agg_by
 
     kept = sorted_agg_by(partials, "text_hash", {"keep_doc_id": "min"})
     return kept.map_batches(
         lambda t: t.rename_columns(["text_hash", "doc_id"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    )
-
-
-def exact_dedup_docs(docs: Dataset) -> Dataset:
-    """Full rows of the surviving documents (first-wins per exact text).
-
-    Sort-based, NOT ``groupby().map_groups`` (whose reduce calls the UDF
-    once per GROUP — at corpus cardinality that is one Python call per
-    distinct document): range-sort on (text_hash, doc_id), keep each
-    block's first row per hash vectorized, then fix the O(#blocks) keys
-    that straddle block boundaries on the driver (the global winner of a
-    straddling key is the min-doc_id row among its per-block winners)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-
-    from .canonicalize import _drop_empty_blocks
-
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch["text_hash"] = _stable_hash(batch["text"])
-        return batch
-
-    tagged = docs.map_batches(tag, batch_format="pandas")
-    srt = _drop_empty_blocks(tagged.sort(["text_hash", "doc_id"]))
-
-    def first_per_key(t: pa.Table) -> pa.Table:
-        k = t["text_hash"].combine_chunks().to_numpy(zero_copy_only=False)
-        mask = np.ones(len(k), bool)
-        mask[1:] = k[1:] != k[:-1]
-        return t.filter(pa.array(mask))
-
-    # materialized: the border pass and the drop_dup output would
-    # otherwise re-execute the upstream graph separately, and a block
-    # layout change between the two executions could let a straddling
-    # hash evade the border-derived dup filter (same fix as
-    # canonicalize.sorted_agg_by); the object is one row per distinct
-    # hash per block — result-sized
-    part = _drop_empty_blocks(
-        srt.map_batches(
-            first_per_key, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    ).materialize()
-
-    def border_rows(t: pa.Table) -> pa.Table:
-        # 1-row block: emit the row once — first-and-last is the same
-        # physical row (double emission is idempotent for this
-        # first-wins fixup but needlessly routes the key to the fixup)
-        if t.num_rows <= 1:
-            return t
-        return pa.concat_tables([t.slice(0, 1), t.slice(t.num_rows - 1, 1)])
-
-    border = part.map_batches(
-        border_rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).to_pandas()
-    dup = border["text_hash"][border["text_hash"].duplicated(keep=False)].unique()
-    if not len(dup):
-        return part
-    fix = (
-        border[border["text_hash"].isin(dup)]
-        .sort_values(["text_hash", "doc_id"])
-        .drop_duplicates("text_hash")
-        .reset_index(drop=True)
-    )
-    schema = part.take_batch(1, batch_format="pyarrow").schema
-    fix_tbl = pa.table(
-        {c: pa.array(fix[c], schema.field(c).type) for c in schema.names}
-    )
-    dup_arr = pa.array(sorted(dup), schema.field("text_hash").type)
-
-    def drop_dup(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.is_in(t["text_hash"], value_set=dup_arr)))
-
-    return _drop_empty_blocks(
-        part.map_batches(
-            drop_dup, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).union(rd.from_arrow(fix_tbl))
     )
 
 
@@ -465,7 +387,7 @@ def distributed_pair_verify(
         out[payload_col] = [src[payload_col].iloc[0]] * len(mem)
         return out
 
-    from .canonicalize import sorted_map_groups
+    from .segments import sorted_map_groups
 
     attached = sorted_map_groups(members.union(payloads), [id_col], attach)
     return sorted_map_groups(attached, [a_col, b_col], verify_pair)
@@ -623,12 +545,12 @@ def minhash_lsh_pairs(
             return empty_pairs
         return pd.concat(outs, ignore_index=True).astype("int64")
 
-    from .canonicalize import sorted_agg_by, sorted_map_groups
+    from .segments import sorted_agg_by, sorted_map_groups
 
     # sorted segment execution, NOT one map_groups UDF task per bucket
     # (bucket count scales with the corpus — per-group Python overhead
-    # alone would dominate at 100 TB); straddling buckets keep exact
-    # whole-bucket semantics via the O(#blocks) fallback inside
+    # alone would dominate at 100 TB); a bucket straddling blocks is
+    # carried whole into its last block
     cand = sorted_map_groups(exploded, ["band", "band_hash"], bucket_candidates)
     # a pair can fire in several bands — global dedup via the sorted
     # distinct (pair-cardinality groups)
@@ -768,7 +690,7 @@ def simhash_near_pairs(docs: Dataset, max_hamming: int = 3) -> Dataset:
             )
         return pd.concat(outs, ignore_index=True).astype("int64")
 
-    from .canonicalize import sorted_agg_by, sorted_map_groups
+    from .segments import sorted_agg_by, sorted_map_groups
 
     out = sorted_map_groups(exploded, ["chunk", "chunk_val"], pairs)
     return sorted_agg_by(out, ["doc_a", "doc_b"], {}).select_columns(

@@ -735,7 +735,7 @@ def resolve_points_grouped(triples: Dataset) -> Dataset:
     last-in-batch — an order the re-blocked stream no longer defines);
     corpus documents carry one geo edge + one lat/lon per blank, where
     the two agree exactly."""
-    from .canonicalize import sorted_agg_by
+    from .segments import sorted_agg_by
 
     parts = triples.map_batches(
         _point_partials_batch, batch_format="pyarrow", zero_copy_batch=True
@@ -788,7 +788,7 @@ def link_stage_grouped(
     when an upstream re-block breaks contiguity."""
     import pyarrow.compute as pc
 
-    from .canonicalize import _drop_empty_blocks
+    from .segments import _drop_empty_blocks
 
     if isinstance(registry, ray.ObjectRef):
         registry_ref = registry

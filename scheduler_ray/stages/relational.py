@@ -13,9 +13,19 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 from ray.data.aggregate import Sum
+
+from .segments import (
+    _drop_empty_blocks,
+    run_starts,
+    segment_scan,
+    sorted_agg_by,
+    sorted_map_groups,
+)
 
 
 def broadcast_join(
@@ -87,8 +97,6 @@ def join_auto(
             sdf = sdf.rename(columns=dict(zip(r_keys, on_keys)))
         return broadcast_join(big, sdf, on=on, how=how, suffix=suffix)
 
-    from .canonicalize import _drop_empty_blocks
-
     small_ds = small if is_ds else rd.from_pandas(small)
     if r_keys != on_keys:
         ren = dict(zip(r_keys, on_keys))
@@ -155,8 +163,6 @@ def semi_join_auto(
             keys.to_pandas().iloc[:, 0].to_numpy() if is_ds else np.asarray(keys)
         )
         return semi_join(big, arr, on, anti=anti)
-
-    from .canonicalize import _drop_empty_blocks, sorted_agg_by
 
     keys_ds = keys if is_ds else rd.from_pandas(pd.DataFrame({on: np.asarray(keys)}))
 
@@ -245,12 +251,55 @@ def tumbling_window_agg(
     # where per-group Python accumulators dominate (measured 68 s for
     # 400k rows / 382k groups on the hopping variant; the sorted-agg
     # path does the same merge in ~3 s)
-    from .canonicalize import sorted_agg_by
 
     partials = events.map_batches(bucket, batch_format="pandas")
     return sorted_agg_by(
         partials, [key, "window"], {"win_sum": "sum", "win_n": "sum"}
     )
+
+
+def session_kernel(key: str, ts_col: str, gap_s: int):
+    """Session windows over runs of ``key`` (sorted on ``(key, ts_col)``).
+    Events and carried sessions are both ``(key, start, end, n)``
+    fragments; a block's partial is its first and last session (a carry
+    only meets it in a one-run block), the carry the session still open
+    at a block's end."""
+
+    def stitch(carry, frags):
+        if carry is not None:
+            frags = [np.concatenate([[c], f]) for c, f in zip((frags[0][0], *carry), frags)]
+        u, s, e, n = frags
+        brk = np.ones(len(u), bool)
+        brk[1:] = (u[1:] != u[:-1]) | ((s[1:] - e[:-1]) > gap_s)
+        i = np.flatnonzero(brk)
+        return u[i], s[i], e[np.append(i[1:], len(u)) - 1], np.add.reduceat(n, i)
+
+    def events(t: pa.Table):
+        ep = pc.divide(pc.cast(t[ts_col], pa.int64()), 1_000_000)
+        ep = ep.to_numpy(zero_copy_only=False).astype(np.int64)
+        return t[key].to_numpy(zero_copy_only=False), ep, ep, np.ones(len(ep), np.int64)
+
+    def summarize(t: pa.Table):
+        sess = stitch(None, events(t))
+        ends = np.unique([0, len(sess[0]) - 1])
+        return [f[ends] for f in sess]
+
+    def combine(carry, part):
+        _, s, e, n = stitch(carry, part)
+        return int(s[-1]), int(e[-1]), int(n[-1])
+
+    def apply(t: pa.Table, carry, drops_tail: bool) -> pa.Table:
+        u, s, e, n = (f[: len(f) - drops_tail] for f in stitch(carry, events(t)))
+        return pa.table(
+            {
+                key: pa.array(u).cast(t.schema.field(key).type),
+                "session_start": pa.array(s, pa.int64()),
+                "session_end": pa.array(e, pa.int64()),
+                "n_events": pa.array(n, pa.int64()),
+            }
+        )
+
+    return summarize, combine, apply
 
 
 def sessionize(
@@ -265,112 +314,11 @@ def sessionize(
     key, globally consistent without a per-key rank).
 
     Sort-based, NOT ``groupby().map_groups`` (one Python UDF call per
-    key — at web scale one call per user): range-sort on (key, ts),
-    sessionize each block with numpy ``reduceat`` segments, then stitch
-    the O(#blocks) sessions that straddle block boundaries on the
-    driver — a boundary session's fragments are exactly its blocks'
-    first/last session rows (interior blocks wholly inside one session
-    contribute their single row, which is both)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-
-    from .canonicalize import _drop_empty_blocks
-
-    srt = _drop_empty_blocks(events.sort([key, ts_col]))
-
-    def block_sessions(t: pa.Table) -> pa.Table:
-        epoch = (
-            pc.divide(pc.cast(t[ts_col], pa.int64()), 1_000_000)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        u = t[key].to_numpy(zero_copy_only=False)
-        n = len(u)
-        brk = np.ones(n, bool)
-        if n > 1:
-            brk[1:] = (u[1:] != u[:-1]) | ((epoch[1:] - epoch[:-1]) > gap_s)
-        starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], n) - 1
-        return pa.table(
-            {
-                key: pa.array(u[starts]).cast(t.schema.field(key).type),
-                "session_start": pa.array(epoch[starts], pa.int64()),
-                "session_end": pa.array(epoch[ends], pa.int64()),
-                "n_events": pa.array(
-                    np.append(starts[1:], n) - starts, pa.int64()
-                ),
-            }
-        )
-
-    # materialized: the border pass and the drop_frag output are two
-    # consumers — a lazy dataset would re-execute the sort per consumer
-    # and could change block layout between them, desyncing the border
-    # stitch (same fix as canonicalize.sorted_agg_by); sessions are
-    # result-sized, never the raw event stream
-    part = _drop_empty_blocks(
-        srt.map_batches(
-            block_sessions, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    ).materialize()
-
-    def border_rows(t: pa.Table) -> pa.Table:
-        pos = pa.array([2] if t.num_rows == 1 else [0, 1], pa.int64())
-        rows = (
-            t
-            if t.num_rows <= 1
-            else pa.concat_tables([t.slice(0, 1), t.slice(t.num_rows - 1, 1)])
-        )
-        return rows.append_column("pos", pos) if t.num_rows else t
-
-    border = part.map_batches(
-        border_rows, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    ).to_pandas()
-    if not len(border):
-        return part
-    border = border.sort_values([key, "session_start"]).reset_index(drop=True)
-    same_key = border[key].eq(border[key].shift())
-    gap_ok = (border["session_start"] - border["session_end"].shift()) <= gap_s
-    prev_tail = border["pos"].shift().isin([1, 2])
-    cur_head = border["pos"].isin([0, 2])
-    chain = (same_key & gap_ok & prev_tail & cur_head).fillna(False)
-    if not chain.any():
-        return part
-    cid = (~chain).cumsum()
-    border["_cid"] = cid
-    sizes = border.groupby("_cid")["_cid"].transform("size")
-    chained = border[sizes > 1]
-    fix = chained.groupby("_cid", as_index=False).agg(
-        **{
-            key: (key, "first"),
-            "session_start": ("session_start", "min"),
-            "session_end": ("session_end", "max"),
-            "n_events": ("n_events", "sum"),
-        }
-    ).drop(columns=["_cid"])
-    # replaced fragments keyed by (key, session_start) — unique per key
-    schema = part.take_batch(1, batch_format="pyarrow").schema
-    fix_tbl = pa.table(
-        {c: pa.array(fix[c], schema.field(c).type) for c in schema.names}
-    )
-    drop_keys = set(zip(chained[key], chained["session_start"]))
-
-    def drop_frag(t: pa.Table) -> pa.Table:
-        # composite membership: match on key AND start pairwise
-        import pandas as pd_
-
-        mask = ~pd_.MultiIndex.from_arrays(
-            [t[key].to_numpy(zero_copy_only=False), t["session_start"].to_numpy()]
-        ).isin(list(drop_keys))
-        return t.filter(pa.array(mask))
-
-    return _drop_empty_blocks(
-        part.map_batches(
-            drop_frag, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        ).union(rd.from_arrow(fix_tbl))
-    )
+    key — at web scale one call per user): one range sort on (key, ts),
+    vectorized numpy session breaks per block, and a session straddling
+    block borders is carried into the block that closes it
+    (:func:`session_kernel` on :func:`segments.segment_scan`)."""
+    return segment_scan(events, [key], session_kernel(key, ts_col, gap_s), order=[ts_col])
 
 
 def top_k(ds: Dataset, by: str, k: int, *, descending: bool = True) -> Dataset:
@@ -411,7 +359,6 @@ def topk_per_group(
     survives is block-layout-dependent (same caveat as SQL's ROW_NUMBER
     without a unique ORDER BY suffix).
     """
-    from .canonicalize import sorted_map_groups
 
     by = [order_col] + ([tiebreak] if tiebreak else [])
     ascending = [not descending] + ([True] if tiebreak else [])
@@ -467,12 +414,47 @@ def hopping_window_agg(
             win_sum=(value_col, "sum"), win_n=(value_col, "size")
         )
 
-    from .canonicalize import sorted_agg_by
-
     partials = events.map_batches(bucket, batch_format="pandas")
     return sorted_agg_by(
         partials, [key, "win_start"], {"win_sum": "sum", "win_n": "sum"}
     )
+
+
+def prefix_sum_kernel(
+    key: str, value_col: str, order_col: str, *, out_col: str = "prefix_sum", exclusive: bool = False
+):
+    """Running per-key sum over a ``(key, order_col)``-sorted stream: the
+    carry is ``(sum of the key's earlier rows, last order value)``.  The
+    one validation point: a duplicate ``(key, order)`` pair, inside a
+    block or across a border, raises ``ValueError``."""
+
+    def ints(t: pa.Table) -> np.ndarray:
+        return t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+
+    def summarize(t: pa.Table):
+        return int(ints(t)[run_starts(t, [key])[-1] :].sum()), t[order_col][-1].as_py()
+
+    def combine(carry, part):
+        return part if carry is None else (carry[0] + part[0], part[1])
+
+    def apply(t: pa.Table, carry, drops_tail: bool) -> pa.Table:
+        if len(run_starts(t, [key, order_col])) < t.num_rows or (
+            carry is not None and carry[1] == t[order_col][0].as_py()
+        ):
+            raise ValueError(
+                f"group_prefix_sum: ({key}, {order_col}) must be unique per group — "
+                f"add a tiebreak column to the order key"
+            )
+        v = ints(t)
+        starts = run_starts(t, [key])
+        ends = np.append(starts[1:], len(v))
+        cum = np.cumsum(v)
+        inc = cum - np.repeat(cum[starts] - v[starts], ends - starts)
+        if carry is not None:
+            inc[: ends[0]] += carry[0]
+        return t.append_column(out_col, pa.array(inc - v if exclusive else inc, pa.int64()))
+
+    return summarize, combine, apply
 
 
 def group_prefix_sum(
@@ -489,134 +471,18 @@ def group_prefix_sum(
     primitive behind sequence packing ("fill 2048-token windows per
     source"), running budgets and cumulative quotas.
 
-    Scale shape: one range-sort on (key, order) (materialized so both
-    passes see identical blocks), a vectorized segmented cumsum per
-    block, and an O(#blocks) driver chain: each block ships only its
-    first/last key runs' totals; the driver forward-propagates the carry
-    a straddling key accumulates across consecutive blocks and hands
-    each block its first-key offset back (keyed by the block's first
-    (key, order) row — ``order_col`` must be unique per key; a duplicate
-    (key, order) pair raises ``ValueError``).  Rows never leave their
-    block after the sort; no per-group Python.
+    Scale shape: one range sort on (key, order), a vectorized segmented
+    cumsum per block, and the sum a key accumulated in earlier blocks as
+    the carry that offsets its head run (:func:`prefix_sum_kernel` on
+    :func:`segments.segment_scan`).  ``order_col`` must be unique per
+    key: a duplicate (key, order) pair raises ``ValueError``.  Rows
+    never leave their block after the sort; no per-group Python.
 
     ``exclusive=True`` returns the sum of STRICTLY PRIOR rows (the
     packing form: ``window = prefix_before // budget``).
     """
-    from .canonicalize import _drop_empty_blocks
-
-    srt = _drop_empty_blocks(ds.sort([key, order_col])).materialize()
-
-    def _segments(k: np.ndarray):
-        brk = np.ones(len(k), bool)
-        brk[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(brk)
-        return starts, np.append(starts[1:], len(k))
-
-    def summary(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {
-                    key: df[key],
-                    "_ord": df[order_col],
-                    "_lord": df[order_col],
-                    "_run": pd.Series([], dtype="int64"),
-                    "_pos": pd.Series([], dtype="int64"),
-                    "_dup": pd.Series([], dtype="bool"),
-                }
-            )
-        k = df[key].to_numpy()
-        o = df[order_col].to_numpy()
-        v = df[value_col].to_numpy(np.int64)
-        starts, ends = _segments(k)
-        first_total = int(v[starts[0] : ends[0]].sum())
-        last_total = int(v[starts[-1] : ends[-1]].sum())
-        # a (key, order) pair repeated inside the block (sorted: adjacent)
-        dup = bool(((k[1:] == k[:-1]) & (o[1:] == o[:-1])).any())
-        # pos 2 == single-key block (head and tail are the same run)
-        if len(starts) == 1:
-            return pd.DataFrame(
-                {
-                    key: [k[0]],
-                    "_ord": [o[0]],
-                    "_lord": [o[-1]],
-                    "_run": [first_total],
-                    "_pos": [2],
-                    "_dup": [dup],
-                }
-            )
-        return pd.DataFrame(
-            {
-                key: [k[0], k[-1]],
-                "_ord": [o[0], o[0]],
-                "_lord": [o[-1], o[-1]],
-                "_run": [first_total, last_total],
-                "_pos": [0, 1],
-                "_dup": [dup, dup],
-            }
-        )
-
-    dup_msg = (
-        f"group_prefix_sum: ({key}, {order_col}) must be unique per group — "
-        f"add a tiebreak column to the order key"
-    )
-
-    border = srt.map_batches(
-        summary, batch_format="pandas", batch_size=None
-    ).to_pandas()
-    if border["_dup"].any():
-        raise ValueError(dup_msg)
-    # reassemble per-block summaries (blocks arrive in sorted order: a
-    # single-key block is one _pos=2 row, a multi-key block a _pos=0
-    # head + _pos=1 tail pair), then forward-propagate the carry a
-    # straddling key accumulates across consecutive blocks
-    rows = border.to_dict("records")
-    blocks = []
-    i = 0
-    while i < len(rows):
-        r = rows[i]
-        if r["_pos"] == 2:
-            blocks.append((r[key], r["_ord"], r["_run"], r[key], r["_lord"], r["_run"], True))
-            i += 1
-        else:
-            r2 = rows[i + 1]
-            blocks.append((r[key], r["_ord"], r["_run"], r2[key], r2["_lord"], r2["_run"], False))
-            i += 2
-    offsets: dict = {}
-    carry_key, carry = None, 0
-    prev_last = None
-    for fk, ford, ft, lk, lord, lt, single in blocks:
-        if prev_last == (fk, ford):  # a duplicate straddling the border
-            raise ValueError(dup_msg)
-        prev_last = (lk, lord)
-        off = carry if fk == carry_key else 0
-        if off:
-            offsets[(fk, ford)] = off
-        if single:
-            carry_key, carry = fk, off + ft
-        else:
-            carry_key, carry = lk, lt
-    off_ref = ray.put(offsets)
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.assign(**{out_col: pd.Series([], dtype="int64")})
-        offs = ray.get(off_ref)
-        k = df[key].to_numpy()
-        v = df[value_col].to_numpy(np.int64)
-        starts, ends = _segments(k)
-        counts = ends - starts
-        cum = np.cumsum(v)
-        seg_base = np.repeat(cum[starts] - v[starts], counts)
-        inc = cum - seg_base  # per-segment inclusive cumsum
-        base = np.zeros(len(df), np.int64)
-        head_off = offs.get((k[0], df[order_col].iloc[0]), 0)
-        if head_off:
-            base[starts[0] : ends[0]] = head_off
-        out = df.copy()
-        out[out_col] = base + (inc - v if exclusive else inc)
-        return out
-
-    return srt.map_batches(apply, batch_format="pandas", batch_size=None)
+    kernel = prefix_sum_kernel(key, value_col, order_col, out_col=out_col, exclusive=exclusive)
+    return segment_scan(ds, [key], kernel, order=[order_col])
 
 
 def zscore_per_group(
@@ -639,7 +505,6 @@ def zscore_per_group(
     regime.  Sample stddev (n-1); single-row groups get NaN like SQL's
     ``STDDEV_SAMP`` returns NULL.
     """
-    from .canonicalize import sorted_agg_by
 
     def moments(b: pd.DataFrame) -> pd.DataFrame:
         v = b[value_col].to_numpy(np.float64)
@@ -698,7 +563,6 @@ def stratified_sample(
     shuffle only in the above-ceiling join regime.  ``order_col`` must
     be unique per group (e.g. a doc id) for a deterministic sample.
     """
-    from .canonicalize import sorted_agg_by, sorted_map_groups
 
     def counts(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby(key, as_index=False).size()
@@ -744,8 +608,8 @@ def asof_join(
     Scale shape: neither side is broadcast or materialized — both
     streams are tagged, union'd, and range-sorted ONCE on ``key``
     (``sorted_map_groups``), then each key's merge is a vectorized
-    ``searchsorted`` over its sorted timestamps; groups that straddle
-    block boundaries fall back to exact whole-group processing.  Only
+    ``searchsorted`` over its sorted timestamps; a group that straddles
+    blocks is completed whole in its last block.  Only
     that one sort-shuffle moves data, the same cost as any keyed join.
 
     Timestamp columns are normalized to int64 (epoch µs for datetimes)
@@ -761,8 +625,6 @@ def asof_join(
         raise ValueError(f"unknown how {how!r}")
 
     import pyarrow as pa
-
-    from .canonicalize import _drop_empty_blocks, sorted_map_groups
 
     _ls, _rs = left.schema(), right.schema()
     l_types = dict(zip(_ls.names, _ls.types))
@@ -963,8 +825,6 @@ def interval_join(
         )
         return b[keep].drop(columns=["__bin"])
 
-    from .canonicalize import _drop_empty_blocks
-
     return _drop_empty_blocks(joined.map_batches(finish, batch_format="pandas"))
 
 
@@ -1000,8 +860,6 @@ def quantile_per_group(
         .groupby([key, value_col])
         .aggregate(Sum("cnt", alias_name="cnt"))
     )
-
-    from .canonicalize import sorted_map_groups
 
     def qtile(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(value_col)
@@ -1230,8 +1088,6 @@ def corr_per_group(
         )
         return t.groupby(key, as_index=False).sum()
 
-    from .canonicalize import sorted_agg_by
-
     # sorted_agg_by, not Ray's groupby aggregate: sum is associative over
     # per-block partials, and the hash-shuffle reduce costs ~4× more wall
     # on bounded partial tables (the round-4 sorted-agg migration lesson)
@@ -1257,6 +1113,29 @@ def corr_per_group(
     return sums.map_batches(finish, batch_format="pandas")
 
 
+def lag_kernel(key: str, value_col: str, *, out_col: str = "lag"):
+    """Previous row's value within runs of ``key``: the carry is the last
+    value of the key's earlier blocks.  The one validation point: a
+    non-numeric ``value_col`` raises ``ValueError``."""
+
+    def summarize(t: pa.Table):
+        return t[value_col][-1].as_py()
+
+    def combine(carry, part):
+        return part
+
+    def apply(t: pa.Table, carry, drops_tail: bool) -> pa.Table:
+        vt = t.schema.field(value_col).type
+        if not (pa.types.is_integer(vt) or pa.types.is_floating(vt) or pa.types.is_boolean(vt)):
+            raise ValueError(f"lag_per_group: value_col {value_col!r} must be numeric, got {vt}")
+        v = pc.cast(t[value_col], pa.float64()).to_numpy(zero_copy_only=False)
+        lag = np.concatenate([[np.nan if carry is None else carry], v[:-1]])
+        lag[run_starts(t, [key])[1:]] = np.nan
+        return t.append_column(out_col, pa.array(lag, pa.float64()))
+
+    return summarize, combine, apply
+
+
 def lag_per_group(
     ds: Dataset,
     key: str,
@@ -1269,83 +1148,13 @@ def lag_per_group(
     ORDER BY ...)``) — window NAVIGATION, the primitive behind deltas /
     time-since-last / change detection per entity.
 
-    Scale shape (the ``group_prefix_sum`` border-carry pattern): one
-    range-sort on (key, *order) — materialized so both passes see
-    identical blocks — then a per-block vectorized shift within key
-    segments.  Only each block's FIRST-row identity and LAST row's
-    (key, value) ship to the driver (2 × #blocks rows): a block whose
-    first key continues the previous block's last key receives that
-    block's last value as the first row's lag.  Rows never leave their
-    block after the sort; the first row of each group lags NaN (SQL
-    NULL).  ``order_cols`` must be unique per key (add a tiebreak id,
-    exactly like SQL's deterministic-LAG requirement).  ``value_col``
-    must be numeric (integer, float or bool): the lag column is float64.
+    Scale shape: one range sort on (key, *order), a per-block vectorized
+    shift within key runs, and a straddling run's last value carried
+    into the next block's head row (:func:`lag_kernel` on
+    :func:`segments.segment_scan`).  Rows never leave their block after
+    the sort; the first row of each group lags NaN (SQL NULL).
+    ``order_cols`` must be unique per key (add a tiebreak id, exactly
+    like SQL's deterministic-LAG requirement).  ``value_col`` must be
+    numeric (integer, float or bool): the lag column is float64.
     """
-    import pyarrow as pa
-
-    from .canonicalize import _drop_empty_blocks
-
-    srt = _drop_empty_blocks(ds.sort([key] + order_cols)).materialize()
-    sch = srt.schema()
-    vtype = dict(zip(sch.names, sch.types)).get(value_col) if sch is not None else None
-    # Arrow blocks report pyarrow types, pandas blocks numpy dtypes (or
-    # ``object``)
-    numeric = (
-        pa.types.is_integer(vtype) or pa.types.is_floating(vtype) or pa.types.is_boolean(vtype)
-        if isinstance(vtype, pa.DataType)
-        else pd.api.types.is_numeric_dtype(vtype)
-    )
-    if vtype is not None and not numeric:
-        raise ValueError(
-            f"lag_per_group: value_col {value_col!r} must be numeric, got {vtype}"
-        )
-
-    def _ident(df: pd.DataFrame, i: int) -> tuple:
-        vals = [df[key].iloc[i]]
-        for c in order_cols:
-            v = df[c].iloc[i]
-            vals.append(v.item() if hasattr(v, "item") else v)
-        return tuple(vals)
-
-    def summary(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"_which": pd.Series([], dtype="int64"), "_blob": []})
-        import pickle
-
-        first = _ident(df, 0)
-        last = (df[key].iloc[-1], float(df[value_col].iloc[-1]))
-        return pd.DataFrame(
-            {"_which": [0, 1], "_blob": [pickle.dumps(first), pickle.dumps(last)]}
-        )
-
-    import pickle
-
-    border = srt.map_batches(summary, batch_format="pandas", batch_size=None).to_pandas()
-    rows = [pickle.loads(b) for b in border["_blob"]]
-    # blocks arrive in sorted order: rows = [first0, last0, first1, last1, ...]
-    offs: dict = {}
-    prev_last = None
-    for i in range(0, len(rows), 2):
-        first, last = rows[i], rows[i + 1]
-        if prev_last is not None and prev_last[0] == first[0]:
-            offs[first] = prev_last[1]
-        prev_last = last
-    off_ref = ray.put(offs)
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        if not len(df):
-            out[out_col] = pd.Series([], dtype="float64")
-            return out
-        k = df[key].to_numpy()
-        v = df[value_col].to_numpy(np.float64)
-        lag = np.full(len(df), np.nan)
-        same = k[1:] == k[:-1]
-        lag[1:][same] = v[:-1][same]
-        head = ray.get(off_ref).get(_ident(df, 0))
-        if head is not None:
-            lag[0] = head
-        out[out_col] = lag
-        return out
-
-    return srt.map_batches(apply, batch_format="pandas", batch_size=None)
+    return segment_scan(ds, [key], lag_kernel(key, value_col, out_col=out_col), order=order_cols)

@@ -210,7 +210,7 @@ def near_duplicates_embedding(
 
     # sorted segment execution + sorted distinct, NOT per-group Python
     # (bucket and pair cardinalities scale with the corpus)
-    from .canonicalize import sorted_agg_by, sorted_map_groups
+    from .segments import sorted_agg_by, sorted_map_groups
 
     cand = sorted_agg_by(
         sorted_map_groups(exploded, ["table", "sig"], bucket_candidates),
@@ -366,8 +366,10 @@ def ivf_centroids_kmeans(
         sums = np.zeros((n_centroids, d))
         counts = np.zeros(n_centroids, np.int64)
         for cid, grp in parts.groupby("centroid"):
+            # partials arrive in block completion order; summing them in
+            # byte order keeps the float result independent of it
             sums[cid] = np.sum(
-                [np.frombuffer(v, np.float64) for v in grp["vsum"]], axis=0
+                [np.frombuffer(v, np.float64) for v in sorted(grp["vsum"])], axis=0
             )
             counts[cid] = grp["count"].sum()
         nonempty = counts > 0

@@ -252,7 +252,7 @@ def test_sorted_map_groups_matches_map_groups():
     import numpy as np
     import ray.data as rd
 
-    from scheduler_ray.stages.canonicalize import sorted_map_groups
+    from scheduler_ray.stages.segments import sorted_map_groups
 
     rng = np.random.default_rng(11)
     n = 4000
@@ -301,7 +301,7 @@ def test_sorted_map_groups_all_straddler_blocks():
     import numpy as np
     import ray.data as rd
 
-    from scheduler_ray.stages.canonicalize import sorted_map_groups
+    from scheduler_ray.stages.segments import sorted_map_groups
 
     # 2 groups scattered across 16 blocks: after the range sort almost
     # every block consists ONLY of straddling groups.
@@ -376,7 +376,7 @@ def test_sorted_agg_by_float_composite_keys():
     import numpy as np
     import ray.data as rd
 
-    from scheduler_ray.stages.canonicalize import sorted_agg_by
+    from scheduler_ray.stages.segments import sorted_agg_by
 
     rng = np.random.default_rng(5)
     n = 2000

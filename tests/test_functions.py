@@ -102,11 +102,14 @@ def test_config_from_env():
     with pytest.raises(ValueError):
         PipelineConfig.from_env({"SCHEDULER_RAY_EXPAND_BATCH_SIZE": "-5"})
     # a variable naming no field fails fast (typos, removed fields) ...
-    for var in ("SCHEDULER_RAY_STAGING_DIR", "SCHEDULER_RAY_EXTRACT_BATCHSIZE"):
+    # (the phase-timings switch SCHEDULER_RAY_TIMINGS is gone as well)
+    for var in (
+        "SCHEDULER_RAY_STAGING_DIR",
+        "SCHEDULER_RAY_EXTRACT_BATCHSIZE",
+        "SCHEDULER_RAY_TIMINGS",
+    ):
         with pytest.raises(ValueError, match=var):
             PipelineConfig.from_env({**env, var: "1"})
-    # ... except the phase-timings switch, which is not a config field
-    assert PipelineConfig.from_env({"SCHEDULER_RAY_TIMINGS": "1"}) == PipelineConfig()
     # unrelated variables are not this config's business
     assert PipelineConfig.from_env({"PATH": "/bin"}) == PipelineConfig()
 

@@ -22,32 +22,6 @@ def _docs(texts, ids=None):
     return rd.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts, "n_chars": [len(t) for t in texts]}))
 
 
-def test_exact_dedup_docs_first_wins_multiblock():
-    """Sort-based full-row first-wins dedup: duplicates scattered across
-    many blocks must all collapse to the min-doc_id row, with the full
-    row payload intact (exercises the block-boundary fixup)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from scheduler_ray.stages import dedup as dd
-
-    rows = []
-    for i in range(300):
-        text = f"doc text {i % 37}"  # 37 distinct texts, ~8 copies each
-        rows.append({"doc_id": i, "text": text, "tag": f"row{i}"})
-    df = pd.DataFrame(rows).sample(frac=1.0, random_state=7).reset_index(drop=True)
-    ds = rd.from_pandas(df).repartition(9)
-    got = dd.exact_dedup_docs(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    want = (
-        df.sort_values("doc_id")
-        .drop_duplicates("text")
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert list(got["doc_id"]) == list(want["doc_id"])
-    assert list(got["tag"]) == list(want["tag"])
-
-
 def test_exact_dedup_keeps_min_id():
     ds = _docs(["aaa", "bbb", "aaa", "ccc", "bbb"], ids=[5, 2, 9, 1, 7])
     out = dd.exact_dedup(ds).to_pandas()
@@ -1832,7 +1806,7 @@ def test_sorted_agg_by_sum_single_row_blocks():
     import pandas as pd
     import ray.data as rd
 
-    from scheduler_ray.stages.canonicalize import sorted_agg_by
+    from scheduler_ray.stages.segments import sorted_agg_by
 
     df = pd.DataFrame({"k": [f"s{i}" for i in range(20)], "v": np.arange(20) + 1})
     for parts in (1, 5, 20):
@@ -1845,6 +1819,36 @@ def test_sorted_agg_by_sum_single_row_blocks():
         want = df.sort_values("k").reset_index(drop=True)
         assert (got["v"].to_numpy() == want["v"].to_numpy()).all(), parts
         assert len(got) == 20
+
+
+def test_segment_scan_over_one_row_blocks():
+    """The carry scan at width: 1,000 sorted one-row blocks (every block
+    a border) through the Ray wiring of sorted_agg_by's (sum) and
+    group_prefix_sum's kernels, both against pandas.  The blocks go
+    straight to the scan: Ray's range sort of N blocks makes N x N map
+    outputs, which at this width would cost minutes, not the scan."""
+    from scheduler_ray.stages.relational import prefix_sum_kernel
+    from scheduler_ray.stages.segments import agg_kernel, scan_sorted
+
+    n = 1000
+    rng = np.random.default_rng(17)
+    df = pd.DataFrame(
+        {
+            "k": np.sort([f"k{i:03d}" for i in rng.integers(0, 250, n)]),
+            "o": np.arange(n),
+            "v": rng.integers(0, 100, n),
+        }
+    )
+    ds = rd.from_pandas(df).repartition(n).materialize()
+    assert ds.num_blocks() == n
+
+    got = scan_sorted(ds, ["k"], agg_kernel(["k"], {"v": "sum"})).to_pandas()
+    want = df.groupby("k", as_index=False)["v"].sum()
+    assert got["k"].tolist() == want["k"].tolist()
+    assert got["v"].tolist() == want["v"].tolist()
+
+    got = scan_sorted(ds, ["k"], prefix_sum_kernel("k", "v", "o")).to_pandas()
+    assert got["prefix_sum"].tolist() == df.groupby("k")["v"].cumsum().tolist()
 
 
 def test_stratified_sample_quota_exact():

@@ -7,8 +7,10 @@ canonicalization equivalence with a naive union-find oracle.
 
 from __future__ import annotations
 
+import random
+
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scheduler_ray.stages.canonicalize import PID_PREFIX, UnionFind, sameas_edges_batch
@@ -279,77 +281,147 @@ def test_extraction_tag_variant_invariance(
     assert out["extracted"].to_pylist() == [payload]
 
 
-# ---- sorted-aggregate primitives (the border-fixup bug class) --------
+# ---- sorted-segment kernels (the border-repair bug class) ------------
 #
 # sorted_agg_by's round-5 bug (1-row blocks double-emitting their border
-# row, double-counting SUM fixups) motivates exhaustive layout fuzzing:
-# random frames × random block counts must match pandas exactly for
-# every aggregate kind.
+# row, double-counting SUM fixups) came from this class.  Every operator
+# on segments.segment_scan is a (summarize, combine, apply) kernel over
+# Arrow tables, so scan_tables replays it over random block layouts of a
+# sorted stream (empty, 1-row and all-one-key blocks included) with no
+# Ray work per example.  Each operator's Ray wiring is covered by its own
+# test in test_ops.py / test_flagship.py.
 
 _key_st = st.lists(
     st.sampled_from(["a", "b", "c", "dd", "e"]), min_size=1, max_size=60
 )
+_cuts_st = st.lists(st.integers(min_value=0, max_value=60), max_size=14)
+# a one-key stream cut into 1-row blocks, with an empty block among them
+_ONE_KEY = (["a"] * 6, [1, 2, 3, 3, 4, 5], random.Random(0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_key_st, st.integers(min_value=1, max_value=12), st.randoms())
-def test_sorted_agg_by_matches_pandas_any_layout(keys, n_parts, rnd):
-    import numpy as np
+def _scan(df, cuts, keys, kernel):
+    """Cut the sorted frame ``df`` into blocks at ``cuts``, run ``kernel``
+    over them and return the non-empty outputs as one frame."""
+    from scheduler_ray.stages.segments import scan_tables
+
+    t = pa.Table.from_pandas(df.reset_index(drop=True), preserve_index=False)
+    bounds = [0, *sorted(min(c, t.num_rows) for c in cuts), t.num_rows]
+    blocks = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    outs = [o for o in scan_tables(blocks, keys, kernel) if o.num_rows]
+    return pa.concat_tables(outs).to_pandas()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_st, _cuts_st, st.randoms())
+@example(*_ONE_KEY)
+def test_agg_kernel_matches_pandas_any_layout(keys, cuts, rnd):
     import pandas as pd
-    import ray.data as rd
 
-    from scheduler_ray.stages.canonicalize import sorted_agg_by
+    from scheduler_ray.stages.segments import agg_kernel
 
-    vals = [rnd.randint(-50, 50) for _ in keys]
-    df = pd.DataFrame({"k": keys, "v": np.array(vals, np.int64)})
-    ds = rd.from_pandas(df).repartition(min(n_parts, len(df)))
+    df = pd.DataFrame({"k": sorted(keys), "v": [rnd.randint(-50, 50) for _ in keys]})
     for agg in ("sum", "min", "max"):
-        got = (
-            sorted_agg_by(ds, "k", {"v": agg})
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
+        got = _scan(df, cuts, ["k"], agg_kernel(["k"], {"v": agg}))
+        want = df.groupby("k", as_index=False).agg(v=("v", agg))
+        pd.testing.assert_frame_equal(
+            got.sort_values("k").reset_index(drop=True), want, check_dtype=False
         )
-        want = (
-            df.groupby("k", as_index=False)
-            .agg(v=("v", agg))
-            .sort_values("k")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    # empty aggs == distinct
-    got_d = sorted(sorted_agg_by(ds, "k", {}).to_pandas()["k"])
-    assert got_d == sorted(df["k"].unique())
+    # empty aggs == distinct, each key exactly once
+    assert sorted(_scan(df, cuts, ["k"], agg_kernel(["k"], {}))["k"]) == sorted(set(keys))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_key_st, st.integers(min_value=1, max_value=10), st.randoms())
-def test_group_prefix_sum_matches_pandas_any_layout(keys, n_parts, rnd):
-    import numpy as np
+@settings(max_examples=200, deadline=None)
+@given(_key_st, _cuts_st, st.randoms())
+@example(*_ONE_KEY)
+def test_map_groups_kernel_calls_fn_once_per_group(keys, cuts, rnd):
     import pandas as pd
-    import ray.data as rd
 
-    from scheduler_ray.stages.relational import group_prefix_sum
+    from scheduler_ray.stages.segments import map_groups_kernel
 
     df = pd.DataFrame(
         {
             "k": keys,
-            "o": np.arange(len(keys), dtype=np.int64),
-            "v": np.array([rnd.randint(0, 30) for _ in keys], np.int64),
+            "k2": [rnd.randint(0, 1) for _ in keys],
+            "v": [rnd.randint(0, 9) for _ in keys],
         }
-    )
-    got = (
-        group_prefix_sum(
-            rd.from_pandas(df).repartition(min(n_parts, len(df))), "k", "v", "o"
+    ).sort_values(["k", "k2"])
+
+    def fn(g):
+        assert len(g)  # the map_groups contract: never an empty frame
+        return pd.DataFrame(
+            {"k": [g["k"].iloc[0]], "k2": [g["k2"].iloc[0]], "n": [len(g)], "s": [g["v"].sum()]}
         )
-        .to_pandas()
-        .sort_values("o")
-        .reset_index(drop=True)
+
+    got = _scan(df, cuts, ["k", "k2"], map_groups_kernel(["k", "k2"], fn))
+    want = df.groupby(["k", "k2"], as_index=False).agg(n=("v", "size"), s=("v", "sum"))
+    pd.testing.assert_frame_equal(
+        got.sort_values(["k", "k2"]).reset_index(drop=True), want, check_dtype=False
     )
-    want = (
-        df.sort_values(["k", "o"])
-        .assign(ps=lambda d: d.groupby("k")["v"].cumsum())
-        .sort_values("o")
-        .reset_index(drop=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_st, _cuts_st, st.randoms())
+@example(*_ONE_KEY)
+def test_session_kernel_matches_pandas_any_layout(keys, cuts, rnd):
+    import pandas as pd
+
+    from scheduler_ray.stages.relational import session_kernel
+
+    gap = 5
+    df = pd.DataFrame({"k": keys, "t": [rnd.randint(0, 60) for _ in keys]})
+    df = df.sort_values(["k", "t"]).reset_index(drop=True)
+    df["ts"] = pd.to_datetime(df["t"], unit="s").astype("datetime64[us]")
+    got = _scan(df[["k", "ts"]], cuts, ["k"], session_kernel("k", "ts", gap))
+    step = df.groupby("k")["t"].diff()
+    df["sid"] = (step.isna() | (step > gap)).cumsum()
+    want = df.groupby("sid").agg(
+        k=("k", "first"),
+        session_start=("t", "min"),
+        session_end=("t", "max"),
+        n_events=("t", "size"),
     )
-    assert (got["prefix_sum"].to_numpy() == want["ps"].to_numpy()).all()
+    pd.testing.assert_frame_equal(
+        got.sort_values(["k", "session_start"]).reset_index(drop=True),
+        want.reset_index(drop=True),
+        check_dtype=False,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_st, _cuts_st, st.randoms(), st.booleans())
+@example(*_ONE_KEY, False)
+def test_prefix_sum_kernel_matches_pandas_any_layout(keys, cuts, rnd, dup_orders):
+    import pandas as pd
+    import pytest
+
+    from scheduler_ray.stages.relational import prefix_sum_kernel
+
+    orders = [rnd.randint(0, 5) for _ in keys] if dup_orders else range(len(keys))
+    df = pd.DataFrame(
+        {"k": keys, "o": orders, "v": [rnd.randint(0, 30) for _ in keys]}
+    ).sort_values(["k", "o"])
+    if df.duplicated(["k", "o"]).any():
+        # the kernel's one validation point, in a block or across a border
+        with pytest.raises(ValueError, match="unique"):
+            _scan(df, cuts, ["k"], prefix_sum_kernel("k", "v", "o"))
+        return
+    for excl in (False, True):
+        got = _scan(df, cuts, ["k"], prefix_sum_kernel("k", "v", "o", exclusive=excl))
+        want = df.groupby("k")["v"].cumsum() - (df["v"] if excl else 0)
+        assert got["prefix_sum"].tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_st, _cuts_st, st.randoms())
+@example(*_ONE_KEY)
+def test_lag_kernel_matches_pandas_any_layout(keys, cuts, rnd):
+    import numpy as np
+    import pandas as pd
+
+    from scheduler_ray.stages.relational import lag_kernel
+
+    df = pd.DataFrame(
+        {"k": keys, "o": range(len(keys)), "v": [rnd.uniform(-1, 1) for _ in keys]}
+    ).sort_values(["k", "o"])
+    got = _scan(df, cuts, ["k"], lag_kernel("k", "v"))
+    np.testing.assert_array_equal(got["lag"], df.groupby("k")["v"].shift().to_numpy())

@@ -524,6 +524,10 @@ def test_distributed_fixup_matches_broadcast(tmp_out):
         rd.from_arrow(tables), tmp_out, drop_sameas=True, lut_max_pairs=1
     )
     assert s_d["fixed_files"] > 0
+    # the summary reports which side of the gate ran and the pair count
+    # that decided it
+    assert s_b["distributed_fixup"] is False and s_d["distributed_fixup"] is True
+    assert s_b["sameas_pairs"] == s_d["sameas_pairs"] > 1
     got = flagship.read_graph(tmp_out).to_pandas()
 
     assert _tripleset(got) == _tripleset(broadcast)

@@ -2,13 +2,13 @@
 
 The reference exposes run-tunable pydantic configs
 (reference userCode/lib/containers.py:28-52,103-116); we expose one
-dataclass covering batch sizes, actor-pool widths and paths, validated at
+dataclass covering batch sizes, size gates and write modes, validated at
 job start (fail-fast like reference userCode/lib/env.py:28-34).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: the env prefix ``from_env`` reads
 ENV_PREFIX = "SCHEDULER_RAY_"
@@ -26,31 +26,6 @@ class PipelineConfig:
     #: complete within one batch, so the linker's batch-local geo (blank
     #: node → parent) resolution never splits a document
     link_batch_size: int | None = None
-    #: linker actor-pool width (read only with link_use_actors=True);
-    #: autoscaling (min, max) so a small test cluster is never deadlocked
-    #: by a pool reserving every CPU (min stays 1, the executor scales the
-    #: pool up to max when CPUs are free)
-    #: NOTE: Ray Data fuses the upstream stateless extract/expand maps into
-    #: the linker's actor pool, so this pool's max bounds the whole hot
-    #: path's parallelism — size it near the cluster CPU count.
-    link_concurrency: int | tuple[int, int] = (1, 24)
-    #: physical mode for the linker: False = stateless tasks with a
-    #: per-worker-process broadcast cache (elastic, no pool ramp — the
-    #: benchmarked default); True = classic map_batches actor pool
-    link_use_actors: bool = False
-
-    @classmethod
-    def for_cpus(cls, num_cpus: int) -> "PipelineConfig":
-        return cls(
-            # min near half the CPUs: the fused extract→expand→link chain
-            # runs inside this pool, and a low floor leaves the cluster idle
-            # while the autoscaler ramps; max leaves headroom for read/write
-            link_concurrency=(max(2, num_cpus // 2), max(4, num_cpus * 7 // 8)),
-        )
-    #: salt factor for hot-key group work (0 = off) — consumed by the
-    #: per-source sinks (e.g. nq.write_release_graphs(salt_factor=...));
-    #: per-batch map stages need no salting (Ray splits blocks by size)
-    salt_factor: int = 0
     #: drop owl:sameAs triples from the final graph after rewriting
     drop_sameas: bool = True
     #: broadcast ceiling for the sameAs rewrite LUT: if the compressed
@@ -62,8 +37,6 @@ class PipelineConfig:
     #: a LUT of ~100M pairs (~8 GB of strings+hashes) still broadcasts on a
     #: 128 GiB node; 0 disables the switch.
     canon_broadcast_max_pairs: int = 100_000_000
-    #: final output partition column of the two-pass global-sort write
-    partition_col: str = "pred"
     #: validate documents against the SHACL-subset shapes during expansion
     #: (single parse; the reference's validate-during-harvest contract)
     validate_docs: bool = True
@@ -79,7 +52,13 @@ class PipelineConfig:
     #: files are byte-identical by construction).  Off by default so a
     #: fresh run over a dirty out_dir never silently trusts stale files.
     file_resume: bool = False
-    extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def for_cpus(cls, num_cpus: int) -> "PipelineConfig":
+        """The config for a ``num_cpus`` cluster.  Every stage runs as
+        stateless tasks that Ray Data scales to the free CPUs, so no field
+        depends on the CPU count and this is the default config."""
+        return cls()
 
     @classmethod
     def from_env(cls, environ=None) -> "PipelineConfig":

@@ -63,9 +63,7 @@ def raw_triples(
         tri,
         registry,
         sources,
-        concurrency=cfg.link_concurrency,
         batch_size=cfg.link_batch_size,
-        use_actors=cfg.link_use_actors,
         index_cache_path=index_cache_path,
     )
 
@@ -213,19 +211,6 @@ def read_graph(out_dir: str, fs=None) -> Dataset:
 
         import pyarrow.compute as pc
 
-        if "pred" not in t.column_names and "path" in t.column_names:
-            # manifest file-list read: derive pred from the hive dir name
-            # via the (tiny) unique path set
-            upaths = pc.unique(t["path"])
-            preds = pa.array(
-                [
-                    unquote(os.path.basename(os.path.dirname(p))[len("pred="):])
-                    for p in upaths.to_pylist()
-                ],
-                pa.large_string(),
-            )
-            pred = pc.take(preds, pc.index_in(t["path"], value_set=upaths))
-            t = t.drop_columns(["path"]).append_column("pred", pred)
         cols = {f.name: pc.cast(t[f.name], f.type) for f in TRIPLE_SCHEMA}
         # Ray's write_parquet percent-encodes hive partition values
         # (rdf:type → rdf%3Atype) and the reader keeps them encoded —
@@ -298,7 +283,7 @@ def run_flagship(
         # Ray's sort range-partitions then sorts — the output files ARE
         # globally ordered by (pred, subj)
         canon.sort(["pred", "subj"]).write_parquet(
-            out_dir, partition_cols=[cfg.partition_col]
+            out_dir, partition_cols=["pred"]
         )
         return read_graph(out_dir)
     return canon

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
@@ -139,7 +140,8 @@ def q_decontaminate(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     bench_texts = (
         docs.map_batches(
-            lambda b: b[b["doc_id"] % 50 == 0], batch_format="pandas"
+            lambda t: t.filter(pa.array(t["doc_id"].to_numpy() % 50 == 0)),
+            batch_format="pyarrow",
         )
         .to_pandas()["text"]  # benchmark-sized, not corpus-sized
         .tolist()
@@ -880,18 +882,10 @@ def q_text_fingerprint(sf_dir: str):
     corpus = _docs_with_near_dups(sf_dir, 11, None)
     fps = tx.fingerprint_stage(corpus)
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64")}
-            )
-        frames = [
-            pd.DataFrame({"doc_a": ids[ia], "doc_b": ids[ib]})
-            for ia, ib in dd.iter_pair_blocks(len(ids))
-        ]
-        return pd.concat(frames, ignore_index=True).astype("int64")
+    def pairs(g: pa.Table) -> pa.Table:
+        ids = np.sort(g["doc_id"].to_numpy().astype(np.int64))
+        ia, ib = (np.concatenate(x) for x in zip(*dd.iter_pair_blocks(len(ids))))
+        return pa.table({"doc_a": ids[ia], "doc_b": ids[ib]})
 
     from ..stages.segments import sorted_map_groups
 
@@ -915,9 +909,7 @@ def _query_vectors(emb, n: int) -> pd.DataFrame:
     """The n query vectors (vec_id < n), filtered INSIDE map_batches — only
     n rows ever reach the driver (round-2 verdict item 3: the old
     ``emb.to_pandas()`` materialized the whole embeddings table)."""
-    qdf = emb.map_batches(
-        lambda b: b[b["vec_id"] < n], batch_format="pandas"
-    ).to_pandas()
+    qdf = emb.filter(expr=f"vec_id < {int(n)}").to_pandas()
     return qdf.sort_values("vec_id")
 
 
@@ -1808,10 +1800,9 @@ def q_doc_langs_concat(sf_dir: str):
     docs = _read(sf_dir, "documents", ["source", "lang"])
     dist = sorted_agg_by(docs, ["source", "lang"], {})
 
-    def concat(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"source": [g["source"].iloc[0]], "langs": [",".join(sorted(g["lang"]))]}
-        )
+    def concat(g: pa.Table) -> pa.Table:
+        langs = ",".join(sorted(g["lang"].to_pylist()))
+        return pa.table({"source": g["source"].slice(0, 1), "langs": [langs]})
 
     return sorted_map_groups(dist, ["source"], concat)
 

@@ -11,10 +11,10 @@ asserted at userCode/defs_test.py:75-80,104-130 — dam 1076356 → mainstem
 
 Ray-Data-first: the registry is the *small* side, so there is **no
 shuffle** — the candidate index is built ONCE on the driver, broadcast
-with ``ray.put``, and loaded once per actor in ``__init__``
-(``map_batches(EntityLinker, concurrency=(min,max))``).
+with ``ray.put``, and loaded once per worker process by stateless
+``map_batches`` tasks (a per-process broadcast cache).
 
-The index is deliberately compact and numpy/Arrow-native so per-actor
+The index is deliberately compact and numpy/Arrow-native so per-worker
 deserialization is a memcpy, not 800k Python objects (a naive dict/set
 index anti-scaled with pool size):
 
@@ -504,7 +504,7 @@ def _subject_points(batch: pa.Table) -> dict[str, tuple[float, float]]:
 def link_triples_batch(
     batch: pa.Table, index: RegistryIndex, mainstems_enabled: dict[str, bool]
 ) -> pa.Table:
-    """Pure per-batch link kernel shared by task-mode and actor-mode.
+    """Pure per-batch link kernel (the body of link_stage's tasks).
 
     Spatial-first (J1): each feature's geo point probes the broadcast
     grid bbox index; candidates are disambiguated by name; token blocking
@@ -566,50 +566,20 @@ def _cached_get(ref):
     return _BROADCAST_CACHE[key]
 
 
-class EntityLinker:
-    """Actor-pool stage: triples in → triples + mainstem link triples out.
-
-    State (broadcast compact index, per-source gating) is fetched ONCE per
-    actor in ``__init__`` — never re-shipped per batch.
-    """
-
-    def __init__(self, registry_ref, sources_ref):
-        registry = registry_ref
-        if isinstance(registry, ray.ObjectRef):
-            registry = ray.get(registry)
-        sources = sources_ref
-        if isinstance(sources, ray.ObjectRef):
-            sources = ray.get(sources)
-        self.index = registry if isinstance(registry, RegistryIndex) else RegistryIndex(registry)
-        self.mainstems_enabled: dict[str, bool] = dict(
-            zip(sources["source_id"], sources["add_associated_mainstems"])
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return link_triples_batch(batch, self.index, self.mainstems_enabled)
-
-
 def link_stage(
     triples: Dataset,
     registry: pd.DataFrame,
     sources: pd.DataFrame,
     *,
-    concurrency: int | tuple[int, int] = (1, 8),
     batch_size: int | None = 8192,
-    use_actors: bool = False,
     index_cache_path: str | None = None,
 ) -> Dataset:
     """Append mainstem-link triples using the broadcast registry index.
 
-    Two physical modes, same semantics (state loaded once per worker):
-
-    * ``use_actors=False`` (default): stateless tasks + a per-worker-process
-      broadcast cache.  Elastic — no actor-pool creation ramp, fuses with
-      the upstream extract/expand maps, scales to every free CPU.  This is
-      the mode benchmarked for the N→4N scaling criterion.
-    * ``use_actors=True``: a classic ``map_batches(EntityLinker,
-      concurrency=(min,max))`` actor pool — the right shape when per-worker
-      state is expensive to load (GPU NER models) or needs exclusivity.
+    Stateless tasks with a per-worker-process broadcast cache: the index
+    loads once per worker, with no actor-pool creation ramp, and the
+    linker fuses with the upstream extract/expand maps and scales to
+    every free CPU (the shape benchmarked for the N→4N criterion).
 
     ``registry`` may also be a ``ray.ObjectRef`` to an ALREADY-RESIDENT
     ``RegistryIndex`` (ST1 steady state: on a long-lived cluster the
@@ -621,20 +591,6 @@ def link_stage(
     else:
         index = build_or_load_index(registry, index_cache_path)
         registry_ref = ray.put(index)  # build once, broadcast
-    sources_ref = ray.put(sources)
-    if use_actors:
-        return triples.map_batches(
-            EntityLinker,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={
-                "registry_ref": registry_ref,
-                "sources_ref": sources_ref,
-            },
-            zero_copy_batch=True,
-        )
-
     enabled = dict(zip(sources["source_id"], sources["add_associated_mainstems"]))
 
     def link_fn(batch: pa.Table) -> pa.Table:

@@ -334,6 +334,16 @@ def top_k(ds: Dataset, by: str, k: int, *, descending: bool = True) -> Dataset:
     return ds.map_batches(partial, batch_format="pandas").sort(by, descending=descending).limit(k)
 
 
+def _head_per_key(t: pa.Table, key: str, order: "list[tuple[str, str]]", quota) -> pa.Table:
+    """The first ``quota`` rows of every ``key`` run of ``t`` stably
+    sorted on ``(key, *order)``.  ``quota`` is an int, or a function of
+    the sorted table giving each row its group's quota."""
+    t = t.sort_by([(key, "ascending"), *order])
+    starts = run_starts(t, [key])
+    rank = np.arange(t.num_rows) - np.repeat(starts, np.diff(starts, append=t.num_rows))
+    return t.filter(pa.array(rank < (quota(t) if callable(quota) else quota)))
+
+
 def topk_per_group(
     ds: Dataset,
     key: str,
@@ -360,18 +370,13 @@ def topk_per_group(
     without a unique ORDER BY suffix).
     """
 
-    by = [order_col] + ([tiebreak] if tiebreak else [])
-    ascending = [not descending] + ([True] if tiebreak else [])
+    order = [(order_col, "descending" if descending else "ascending")]
+    order += [(tiebreak, "ascending")] if tiebreak else []
 
-    def _topk(df: pd.DataFrame) -> pd.DataFrame:
-        # mergesort = stable, so equal keys keep a deterministic order
-        return (
-            df.sort_values(by, ascending=ascending, kind="mergesort")
-            .groupby(key, sort=False)
-            .head(k)
-        )
+    def _topk(t: pa.Table) -> pa.Table:
+        return _head_per_key(t, key, order, k)
 
-    parts = ds.map_batches(_topk, batch_format="pandas", batch_size=None)
+    parts = ds.map_batches(_topk, batch_format="pyarrow", batch_size=None)
     return sorted_map_groups(parts, [key], _topk)
 
 
@@ -575,16 +580,16 @@ def stratified_sample(
         ds, n_by_key, on=key, broadcast_max_rows=broadcast_max_rows
     )
 
-    def head_quota(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(order_col, kind="mergesort")
-        quota = (b["_n"].to_numpy(np.int64) * num + den - 1) // den
-        keep = b.groupby(key, sort=False).cumcount().to_numpy() < quota
-        return b[keep]
+    def quota(t: pa.Table) -> np.ndarray:
+        return (t["_n"].to_numpy().astype(np.int64) * num + den - 1) // den
 
-    parts = joined.map_batches(head_quota, batch_format="pandas", batch_size=None)
+    def head_quota(t: pa.Table) -> pa.Table:
+        return _head_per_key(t, key, [(order_col, "ascending")], quota)
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        return head_quota(g).drop(columns=["_n"])
+    parts = joined.map_batches(head_quota, batch_format="pyarrow", batch_size=None)
+
+    def finish(g: pa.Table) -> pa.Table:
+        return head_quota(g).drop_columns(["_n"])
 
     return sorted_map_groups(parts, [key], finish)
 
@@ -614,7 +619,9 @@ def asof_join(
 
     Timestamp columns are normalized to int64 (epoch µs for datetimes)
     in the output; the matched right timestamp comes back as
-    ``f"{ts_col}{suffix}"``.  With duplicate right timestamps for one
+    ``f"{ts_col}{suffix}"``.  Under ``how="left"`` an unmatched row's
+    right columns are null in their own type (an int64 column stays
+    int64).  With duplicate right timestamps for one
     (key, ts) the surviving row is input-order-dependent — dedup the
     right side first (e.g. ``sorted_agg_by`` max) for determinism, as
     SQL's ASOF does implicitly by picking an arbitrary peer.
@@ -623,8 +630,6 @@ def asof_join(
         raise ValueError(f"unknown direction {direction!r}")
     if how not in ("inner", "left"):
         raise ValueError(f"unknown how {how!r}")
-
-    import pyarrow as pa
 
     _ls, _rs = left.schema(), right.schema()
     l_types = dict(zip(_ls.names, _ls.types))
@@ -635,21 +640,12 @@ def asof_join(
     # timestamp always comes along (for lag computation) under suffix
     r_out = {c: (c + suffix if c in l_cols else c) for c in r_val_cols}
     r_ts_out = ts_col + suffix
-    out_cols = l_cols + [r_ts_out] + [r_out[c] for c in r_val_cols]
-
-    def _ts_i64(s: pd.Series) -> np.ndarray:
-        # explicit unit cast — pandas may hold datetime64[ns] OR [us]
-        # depending on how the block arrived; astype("int64") alone would
-        # silently yield different units
-        if np.issubdtype(s.dtype, np.datetime64):
-            return s.to_numpy().astype("datetime64[us]").astype(np.int64)
-        return s.to_numpy(np.int64)
+    r_cols_out = [r_ts_out] + [r_out[c] for c in r_val_cols]
 
     def _arrow_type(field_type):
         return pa.int64() if pa.types.is_timestamp(field_type) else field_type
 
-    # unified Arrow schema so the two sides union cleanly (pandas would
-    # widen null int columns to float)
+    # one Arrow schema for both tagged sides, so they union cleanly
     uni = pa.schema(
         [pa.field(key, _arrow_type(l_types[key]))]
         + [pa.field(ts_col, pa.int64())]
@@ -663,83 +659,37 @@ def asof_join(
         + [pa.field("__side", pa.int8())]
     )
 
-    def tag_left(b: pd.DataFrame) -> pa.Table:
-        cols = {}
-        for f in uni:
-            if f.name == "__side":
-                cols[f.name] = pa.array(np.ones(len(b), np.int8))
-            elif f.name == ts_col:
-                cols[f.name] = pa.array(_ts_i64(b[ts_col]))
-            elif f.name in b.columns:
-                cols[f.name] = pa.array(b[f.name], f.type)
-            else:
-                cols[f.name] = pa.nulls(len(b), f.type)
-        return pa.table(cols, schema=uni)
+    def _as(col, t):
+        # timestamps of any unit → epoch µs (explicit, truncating)
+        if pa.types.is_timestamp(col.type):
+            col = pc.cast(col, pa.timestamp("us", col.type.tz), safe=False)
+        return col.cast(t)
 
-    def tag_right(b: pd.DataFrame) -> pa.Table:
-        cols = {}
-        inv = {v: k for k, v in r_out.items()}
-        for f in uni:
-            if f.name == "__side":
-                cols[f.name] = pa.array(np.zeros(len(b), np.int8))
-            elif f.name == key:
-                cols[f.name] = pa.array(b[key], f.type)
-            elif f.name == r_ts_out:
-                cols[f.name] = pa.array(_ts_i64(b[ts_col]))
-            elif f.name in inv:
-                cols[f.name] = pa.array(b[inv[f.name]], f.type)
-            else:
-                cols[f.name] = pa.nulls(len(b), f.type)
-        return pa.table(cols, schema=uni)
+    def tagger(side: int, names: "dict[str, str]"):
+        def tag(b: pa.Table) -> pa.Table:
+            cols = [
+                _as(b[names[f.name]], f.type) if f.name in names else pa.nulls(b.num_rows, f.type)
+                for f in uni
+            ]
+            cols[-1] = pa.array(np.full(b.num_rows, side, np.int8))
+            return pa.Table.from_arrays(cols, schema=uni)
 
+        return tag
+
+    tag_left = tagger(1, {c: c for c in l_cols})
+    tag_right = tagger(0, {key: key, r_ts_out: ts_col, **{v: c for c, v in r_out.items()}})
     tagged = _drop_empty_blocks(
-        left.map_batches(tag_left, batch_format="pandas")
-    ).union(_drop_empty_blocks(right.map_batches(tag_right, batch_format="pandas")))
+        left.map_batches(tag_left, batch_format="pyarrow")
+    ).union(_drop_empty_blocks(right.map_batches(tag_right, batch_format="pyarrow")))
 
     back = direction == "backward"
 
-    r_cols_out = [r_ts_out] + [r_out[v] for v in r_val_cols]
-
-    def _restore_dtypes(out: pd.DataFrame) -> pd.DataFrame:
-        # the union carries nulls in the off-side columns, so pandas
-        # widens int64 → float64 for the whole group frame; cast back
-        # wherever the output is guaranteed non-null (left columns
-        # always; right columns under how="inner")
-        for c in out_cols:
-            t = uni.field(c).type
-            if pa.types.is_integer(t) and (how == "inner" or c not in r_cols_out):
-                out[c] = out[c].astype(t.to_pandas_dtype())
-        return out
-
-    def _nullable(s: pd.Series) -> pd.Series:
-        # how="left" emits right columns in a dtype that can hold a miss
-        # CONSISTENTLY across groups (an int64 column must not be int in
-        # all-matched groups and float in others — the block schemas
-        # would diverge)
-        return s.astype("float64") if s.dtype.kind in "iu" else s
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        is_l = g["__side"].to_numpy() == 1
-        l = g[is_l]
-        r = g[~is_l]
-        out = l.drop(columns=["__side"]).reset_index(drop=True)
-        if not len(l):
-            return _restore_dtypes(out.reindex(columns=out_cols).iloc[:0])
-        if not len(r):
-            if how == "inner":
-                return _restore_dtypes(out.reindex(columns=out_cols).iloc[:0])
-            for c in r_cols_out:
-                t = uni.field(c).type
-                if pa.types.is_integer(t) or pa.types.is_floating(t):
-                    out[c] = np.full(len(out), np.nan)
-                else:
-                    out[c] = pd.Series([None] * len(out), dtype=object)
-            return _restore_dtypes(out[out_cols])
-        lts = l[ts_col].to_numpy(np.int64)
-        r_ts_raw = r[r_ts_out].to_numpy(np.int64)
-        order = np.argsort(r_ts_raw, kind="stable")
-        rts = r_ts_raw[order]
-        rr = r.iloc[order]
+    def merge(g: pa.Table) -> pa.Table:
+        is_l = pc.equal(g["__side"], 1)
+        l, r = g.filter(is_l), g.filter(pc.invert(is_l))
+        lts = l[ts_col].to_numpy()
+        order = np.argsort(r[r_ts_out].to_numpy(), kind="stable")
+        rts = r[r_ts_out].to_numpy()[order]
         if back:
             idx = np.searchsorted(rts, lts, side="right") - 1
             ok = idx >= 0
@@ -747,16 +697,16 @@ def asof_join(
             idx = np.searchsorted(rts, lts, side="left")
             ok = idx < len(rts)
         if how == "inner":
-            out = out[ok].reset_index(drop=True)
-            tk = idx[ok]
-            for c in r_cols_out:
-                out[c] = rr[c].to_numpy()[tk]
+            l, take = l.filter(pa.array(ok)), pa.array(order[idx[ok]])
         else:
-            tk = np.where(ok, idx, 0)
-            for c in r_cols_out:
-                s = _nullable(pd.Series(rr[c].to_numpy()[tk]))
-                out[c] = s.where(pd.Series(ok)).values
-        return _restore_dtypes(out[out_cols])
+            # a miss is a null index: its right columns come back null
+            # in their own type
+            pos = np.where(ok, idx, 0)
+            take = pa.array(order[pos] if len(order) else pos, mask=~ok)
+        rt = r.select(r_cols_out).take(take)
+        return pa.Table.from_arrays(
+            [l[c] for c in l_cols] + rt.columns, names=l_cols + r_cols_out
+        )
 
     return sorted_map_groups(tagged, [key], merge)
 
@@ -861,10 +811,10 @@ def quantile_per_group(
         .aggregate(Sum("cnt", alias_name="cnt"))
     )
 
-    def qtile(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(value_col)
-        c = g["cnt"].to_numpy(np.int64)
-        v = g[value_col].to_numpy(np.float64)
+    def qtile(g: pa.Table) -> pa.Table:
+        g = g.sort_by(value_col)
+        c = g["cnt"].to_numpy().astype(np.int64)
+        v = g[value_col].to_numpy().astype(np.float64)
         n = int(c.sum())
         pos = q * (n - 1)
         cum = np.cumsum(c)
@@ -872,7 +822,7 @@ def quantile_per_group(
         hi = int(np.searchsorted(cum, np.ceil(pos), side="right"))
         frac = pos - np.floor(pos)
         val = v[lo] * (1.0 - frac) + v[hi] * frac
-        return pd.DataFrame({key: [g[key].iloc[0]], out_col: [round(val, nd)]})
+        return pa.table({key: g[key].slice(0, 1), out_col: [round(val, nd)]})
 
     return sorted_map_groups(hist, [key], qtile)
 

@@ -209,19 +209,14 @@ def map_groups_kernel(keys: "list[str]", fn):
         return part if carry is None else _concat([carry, part])
 
     def apply(t: pa.Table, carry, drops_tail: bool) -> pa.Table:
-        import pandas as pd
-
         if carry is not None:
             t = _concat([carry, t])
         starts = run_starts(t, keys)
         if drops_tail:
             t, starts = t.slice(0, starts[-1]), starts[:-1]
-        df = BlockAccessor.for_block(t).to_pandas()
-        ends = np.append(starts[1:], len(df))
-        outs = [o for s, e in zip(starts, ends) if len(o := fn(df.iloc[s:e]))]
-        if not outs:
-            return pa.table({})
-        return BlockAccessor.for_block(pd.concat(outs, ignore_index=True)).to_arrow()
+        ends = np.append(starts[1:], t.num_rows)
+        outs = [o for s, e in zip(starts, ends) if (o := fn(t.slice(s, e - s))).num_rows]
+        return _concat(outs) if outs else pa.table({})
 
     return summarize, combine, apply
 
@@ -242,8 +237,8 @@ def sorted_agg_by(
     per-block pyarrow hash aggregate (the combiner) shrinks each block
     before the range sort, and :func:`segment_scan` re-aggregates each
     sorted block, carrying a straddling key's partial into its last
-    block.  Blocks stay Arrow end to end (pandas blocks pickle Python
-    string objects across the shuffle — measured ~10× slower).
+    block.  Blocks stay Arrow end to end (blocks of Python string
+    objects pickle them across the shuffle — measured ~10× slower).
 
     Returns a Dataset with columns ``(*keys, *aggs)``.
     """
@@ -272,9 +267,11 @@ def sorted_map_groups(ds: Dataset, keys: "list[str]", fn) -> Dataset:
     plain function call; a group straddling blocks is completed in its
     last block (:func:`map_groups_kernel`).
 
-    ``fn``: pandas group frame → pandas frame — the same contract as
-    ``Dataset.map_groups(fn, batch_format="pandas")``: ``fn`` is NEVER
-    invoked on an empty frame.  Output blocks are Arrow; row order
-    differs from map_groups (callers must be order-insensitive).
+    ``fn``: Arrow group table → Arrow table, called once per WHOLE
+    group and never on an empty table — the contract of
+    ``Dataset.map_groups(fn, batch_format="pyarrow")``.  Empty outputs
+    are dropped, so a group that yields nothing returns any empty table.
+    Output blocks are the concatenated ``fn`` results; row order differs
+    from map_groups (callers must be order-insensitive).
     """
     return segment_scan(ds, list(keys), map_groups_kernel(list(keys), fn))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
 from ray.data import Dataset
@@ -93,11 +94,6 @@ def brute_force_topk(
         ["query_id", "score", "vec_id"], ascending=[True, False, True]
     )
     return partials.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    x = np.ascontiguousarray(x, np.uint64)
-    return np.unpackbits(x.view(np.uint8)).reshape(len(x), 64).sum(axis=1)
 
 
 def _sketch64(m: np.ndarray, planes64: np.ndarray) -> np.ndarray:
@@ -172,41 +168,18 @@ def near_duplicates_embedding(
 
     exploded = embeddings.map_batches(explode, batch_format="pandas")
 
-    empty_pairs = pd.DataFrame(
-        {"vec_a": pd.Series([], dtype="int64"), "vec_b": pd.Series([], dtype="int64")}
-    )
+    from .dedup import bucket_pairs, distributed_pair_verify, popcount64
 
-    def bucket_candidates(g: pd.DataFrame) -> pd.DataFrame:
-        from .dedup import bucket_pair_spans, iter_pair_blocks, logger as dlog
-
-        g = g.drop_duplicates("vec_id").sort_values("vec_id")
-        if len(g) < 2:
-            return empty_pairs
-        ids = g["vec_id"].to_numpy()
-        sk = g["sketch"].to_numpy(np.uint64)
+    def bucket_candidates(g: pa.Table) -> pa.Table:
         # hot buckets capped to O(n · max_width) sorted-chunk enumeration
         # (round-3 verdict item 1; shared with the MinHash path)
-        order, spans, capped = bucket_pair_spans(sk, ids, max_bucket_width)
-        if capped:
-            dlog.warning(
-                "hot embedding-LSH bucket capped: table=%s n=%d -> %d chunks",
-                int(g["table"].iloc[0]), len(ids), len(spans),
-            )
-            ids, sk = ids[order], sk[order]
-        outs = []
-        for lo, hi in spans:
-            cid, cs = ids[lo:hi], sk[lo:hi]
-            for ia, ib in iter_pair_blocks(hi - lo):
-                ham = _popcount64(cs[ia] ^ cs[ib])
-                ok = ham <= max_ham
-                if ok.any():
-                    a, b = cid[ia[ok]], cid[ib[ok]]
-                    outs.append(
-                        pd.DataFrame({"vec_a": np.minimum(a, b), "vec_b": np.maximum(a, b)})
-                    )
-        if not outs:
-            return empty_pairs
-        return pd.concat(outs, ignore_index=True).astype("int64")
+        a, b = bucket_pairs(
+            g["vec_id"].to_numpy(),
+            g["sketch"].to_numpy().astype(np.uint64),
+            lambda x, y: popcount64(x ^ y) <= max_ham,
+            max_bucket_width,
+        )
+        return pa.table({"vec_a": a, "vec_b": b})
 
     # sorted segment execution + sorted distinct, NOT per-group Python
     # (bucket and pair cardinalities scale with the corpus)
@@ -221,17 +194,15 @@ def near_duplicates_embedding(
     # phase 2: distributed exact verify — the pair set stays a Dataset
     # (round-3 verdict item 2); only the unique candidate-id array is
     # driver-resident/broadcast
-    from .dedup import distributed_pair_verify
-
-    def verify_pair(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates("vec_id").sort_values("vec_id")
-        if len(g) != 2:
-            return empty_pairs
-        m = _normalize(_embedding_matrix(g))
-        if float(m[0] @ m[1]) >= threshold:
-            ids = g["vec_id"].to_numpy()
-            return pd.DataFrame({"vec_a": [int(ids[0])], "vec_b": [int(ids[1])]})
-        return empty_pairs
+    def verify_pair(g: pa.Table) -> pa.Table:
+        ids, first = np.unique(g["vec_id"].to_numpy(), return_index=True)
+        if len(ids) != 2:
+            return g.slice(0, 0)
+        m = np.stack(g["embedding"].take(first).to_numpy(zero_copy_only=False))
+        m = _normalize(m.astype(np.float64))
+        if float(m[0] @ m[1]) < threshold:
+            return g.slice(0, 0)
+        return pa.table({"vec_a": ids[:1], "vec_b": ids[1:]})
 
     return distributed_pair_verify(
         embeddings,
@@ -240,10 +211,7 @@ def near_duplicates_embedding(
         a_col="vec_a",
         b_col="vec_b",
         payload_col="embedding",
-        payload_filler=np.zeros(0, np.float64),
-        normalize_payload=lambda s: s.map(lambda v: np.asarray(v, np.float64)),
         verify_pair=verify_pair,
-        empty_pairs=empty_pairs,
     )
 
 
@@ -318,9 +286,7 @@ def ivf_centroids(embeddings: Dataset, n_centroids: int) -> np.ndarray:
     coarse quantizer with a self-join.  (At scale you'd k-means a sample;
     the assignment/probe machinery below is identical either way.)"""
     cdf = (
-        embeddings.map_batches(
-            lambda b: b[b["vec_id"] < n_centroids], batch_format="pandas"
-        )
+        embeddings.filter(expr=f"vec_id < {int(n_centroids)}")
         .to_pandas()
         .sort_values("vec_id")
     )

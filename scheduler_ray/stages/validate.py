@@ -6,11 +6,11 @@ against SHACL shapes via a long-lived gRPC validator service
 Docker/Docker-compose.yaml:7-16), with ``--exit-on-shacl-failure``
 escalating violations to fatal.
 
-Ray-Data-first: the compiled shape set is worker-resident state — an
-actor pool (``map_batches(ShaclValidator, concurrency=...)``) or the
-task-mode broadcast cache — no network hop per document.  Output is a
-row-level ``valid:bool`` + ``violations:list<string>``; ``strict=True``
-reproduces exit-on-failure by raising on the first violating batch.
+Ray-Data-first: the shape set is compiled once on the driver and
+shipped with the stateless ``map_batches`` tasks — no network hop per
+document.  Output is a row-level ``valid:bool`` +
+``violations:list<string>``; ``strict=True`` reproduces exit-on-failure
+by raising on the first violating batch.
 
 The shape language is a pragmatic SHACL subset (what the Geoconnex
 shapes actually exercise): required properties, value datatype (uri /
@@ -684,9 +684,9 @@ def parse_shacl_shapes(doc: "dict | str") -> tuple[tuple[PropertyShape, ...], tu
 
 
 class ShaclValidator:
-    """Actor-pool / cached-task validation stage: shapes compiled once per
-    worker (optionally ingested from a SHACL JSON-LD shapes graph via
-    ``shapes_path`` — ST3 state), documents checked per batch."""
+    """Validation stage callable: shapes compiled once (optionally
+    ingested from a SHACL JSON-LD shapes graph via ``shapes_path`` — ST3
+    state), documents checked per batch."""
 
     def __init__(self, strict: bool = False, shapes_path: str | None = None):
         self.strict = strict
@@ -721,22 +721,12 @@ def validate_stage(
     extracted: Dataset,
     *,
     strict: bool = False,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int | None = 4096,
     shapes_path: str | None = None,
 ) -> Dataset:
-    """Add valid/violations columns.  With ``concurrency`` set, runs as an
-    actor pool; otherwise stateless tasks (shapes are cheap to compile).
-    ``shapes_path`` points at a SHACL JSON-LD shapes graph to ingest."""
-    if concurrency is not None:
-        return extracted.map_batches(
-            ShaclValidator,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"strict": strict, "shapes_path": shapes_path},
-            zero_copy_batch=True,
-        )
+    """Add valid/violations columns as stateless tasks (shapes are cheap
+    to compile).  ``shapes_path`` points at a SHACL JSON-LD shapes graph
+    to ingest."""
     validator = ShaclValidator(strict=strict, shapes_path=shapes_path)
     return extracted.map_batches(
         validator, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True

@@ -267,13 +267,16 @@ def test_sorted_map_groups_matches_map_groups():
     df.loc[: n // 4, "g2"] = 0
     ds = rd.from_pandas(df.sample(frac=1.0, random_state=2)).repartition(13)
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    def fn(g: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "g1": [int(g["g1"].iloc[0])],
-                "g2": [int(g["g2"].iloc[0])],
-                "n": [len(g)],
-                "vsum": [int(g["v"].sum())],
+                "g1": g["g1"].slice(0, 1),
+                "g2": g["g2"].slice(0, 1),
+                "n": [g.num_rows],
+                "vsum": [pc.sum(g["v"]).as_py()],
             }
         )
 
@@ -285,7 +288,7 @@ def test_sorted_map_groups_matches_map_groups():
     )
     want = (
         ds.groupby(["g1", "g2"])
-        .map_groups(fn, batch_format="pandas")
+        .map_groups(fn, batch_format="pyarrow")
         .to_pandas()
         .sort_values(["g1", "g2"])
         .reset_index(drop=True)
@@ -295,9 +298,9 @@ def test_sorted_map_groups_matches_map_groups():
 
 def test_sorted_map_groups_all_straddler_blocks():
     """Regression (round-4 flake): a block whose segments are ALL boundary
-    straddlers must yield nothing — fn must never see an empty frame, so a
-    UDF doing ``g.iloc[0]`` (legal under map_groups) cannot crash on rare
-    block layouts."""
+    straddlers must yield nothing — fn must never see an empty table, so a
+    UDF reading row 0 (legal under map_groups) cannot crash on rare block
+    layouts."""
     import numpy as np
     import ray.data as rd
 
@@ -308,13 +311,20 @@ def test_sorted_map_groups_all_straddler_blocks():
     df = pd.DataFrame({"g": np.arange(400) % 2, "v": np.arange(400)})
     ds = rd.from_pandas(df.sample(frac=1.0, random_state=3)).repartition(16)
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        # .iloc[0] crashes on an empty frame — the map_groups contract
-        return pd.DataFrame({"g": [int(g["g"].iloc[0])], "vsum": [int(g["v"].sum())]})
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    got = sorted_map_groups(ds, ["g"], fn).to_pandas().sort_values("g").reset_index(drop=True)
-    want = df.groupby("g", as_index=False)["v"].sum().rename(columns={"v": "vsum"})
+    def fn(g: pa.Table) -> pa.Table:
+        # g["g"][0] raises on an empty table — the map_groups contract
+        return pa.table({"g": [g["g"][0].as_py()], "vsum": [pc.sum(g["v"]).as_py()]})
+
+    def run(op) -> pd.DataFrame:
+        return op(fn).to_pandas().sort_values("g").reset_index(drop=True)
+
+    got = run(lambda f: sorted_map_groups(ds, ["g"], f))
+    want = run(lambda f: ds.groupby("g").map_groups(f, batch_format="pyarrow"))
     pd.testing.assert_frame_equal(got, want)
+    assert got["vsum"].tolist() == df.groupby("g")["v"].sum().tolist()
 
 
 def test_distributed_cc_multiblock_chains():

@@ -93,20 +93,26 @@ def test_config_from_env():
         "SCHEDULER_RAY_EXTRACT_BATCH_SIZE": "2048",
         "SCHEDULER_RAY_VALIDATE_DOCS": "false",
         "SCHEDULER_RAY_SORT_MODE": "global",
-        "SCHEDULER_RAY_SALT_FACTOR": "4",
+        "SCHEDULER_RAY_CANON_BROADCAST_MAX_PAIRS": "4",
     }
     cfg = PipelineConfig.from_env(env)
     assert cfg.extract_batch_size == 2048
     assert cfg.validate_docs is False
-    assert cfg.sort_mode == "global" and cfg.salt_factor == 4
+    assert cfg.sort_mode == "global" and cfg.canon_broadcast_max_pairs == 4
     with pytest.raises(ValueError):
         PipelineConfig.from_env({"SCHEDULER_RAY_EXPAND_BATCH_SIZE": "-5"})
     # a variable naming no field fails fast (typos, removed fields) ...
-    # (the phase-timings switch SCHEDULER_RAY_TIMINGS is gone as well)
+    # (the phase-timings switch SCHEDULER_RAY_TIMINGS is gone as well,
+    # and so are the never-set link-actor, salt, partition and extra knobs)
     for var in (
         "SCHEDULER_RAY_STAGING_DIR",
         "SCHEDULER_RAY_EXTRACT_BATCHSIZE",
         "SCHEDULER_RAY_TIMINGS",
+        "SCHEDULER_RAY_LINK_USE_ACTORS",
+        "SCHEDULER_RAY_LINK_CONCURRENCY",
+        "SCHEDULER_RAY_SALT_FACTOR",
+        "SCHEDULER_RAY_PARTITION_COL",
+        "SCHEDULER_RAY_EXTRA",
     ):
         with pytest.raises(ValueError, match=var):
             PipelineConfig.from_env({**env, var: "1"})

@@ -352,12 +352,13 @@ def test_validate_stage_strict_raises(fixture_sf0001):
 
 
 def test_validate_stage_actor_mode(fixture_sf0001):
+    """The stage runs as stateless tasks only (the actor mode is gone)."""
     from scheduler_ray.pipelines import flagship
     from scheduler_ray.stages.extract import extract_stage
     from scheduler_ray.stages.validate import validate_stage
 
     ex = extract_stage(flagship.read_pages(fixture_sf0001))
-    out = validate_stage(ex, concurrency=(1, 2)).to_pandas()
+    out = validate_stage(ex).to_pandas()
     assert out["valid"].sum() == 420  # = parseable, shape-conforming docs
 
 
@@ -1653,6 +1654,35 @@ def test_asof_join_key_without_right_rows():
     got_l = asof_join(lds, rds, key="k", ts_col="ts", how="left").to_pandas()
     assert len(got_l) == 12
     assert got_l[got_l["k"] == 2]["v"].isna().all()
+
+
+def test_asof_join_left_keeps_int_right_columns():
+    """how="left": an int64 right column comes back int64 with nulls for
+    the misses, in every output block, not widened to float64."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from scheduler_ray.stages.relational import asof_join
+
+    left = pd.DataFrame(
+        {"k": np.arange(40) % 4, "ts": np.arange(40, dtype=np.int64), "lid": np.arange(40)}
+    )
+    # key 3 has no right rows; keys 0-2 miss the left rows before ts 10
+    right = pd.DataFrame({"k": [0, 1, 2], "ts": np.int64([10, 10, 10]), "v": np.int64([7, 8, 9])})
+    out = asof_join(rd.from_pandas(left).repartition(5), rd.from_pandas(right), key="k", ts_col="ts", how="left")
+    blocks = ray.get(out.to_arrow_refs())
+    assert len(blocks) > 1
+    for b in blocks:
+        assert b.schema.field("v").type == pa.int64()
+        assert b.schema.field("ts_r").type == pa.int64()
+    got = pa.concat_tables(blocks).to_pandas().sort_values("lid").reset_index(drop=True)
+    assert len(got) == 40
+    hit = (got["k"] < 3) & (got["ts"] >= 10)
+    assert got.loc[hit, "v"].tolist() == (got.loc[hit, "k"] + 7).tolist()
+    assert got.loc[~hit, "v"].isna().all() and got.loc[~hit, "ts_r"].isna().all()
 
 
 def test_interval_join_broadcast_matches_distributed():

@@ -346,10 +346,17 @@ def test_map_groups_kernel_calls_fn_once_per_group(keys, cuts, rnd):
         }
     ).sort_values(["k", "k2"])
 
-    def fn(g):
-        assert len(g)  # the map_groups contract: never an empty frame
-        return pd.DataFrame(
-            {"k": [g["k"].iloc[0]], "k2": [g["k2"].iloc[0]], "n": [len(g)], "s": [g["v"].sum()]}
+    def fn(g: pa.Table) -> pa.Table:
+        assert g.num_rows  # the map_groups contract: never an empty table
+        # one whole group: a single (k, k2) value
+        assert len(set(zip(g["k"].to_pylist(), g["k2"].to_pylist()))) == 1
+        return pa.table(
+            {
+                "k": g["k"].slice(0, 1),
+                "k2": g["k2"].slice(0, 1),
+                "n": [g.num_rows],
+                "s": [sum(g["v"].to_pylist())],
+            }
         )
 
     got = _scan(df, cuts, ["k", "k2"], map_groups_kernel(["k", "k2"], fn))
@@ -357,6 +364,54 @@ def test_map_groups_kernel_calls_fn_once_per_group(keys, cuts, rnd):
     pd.testing.assert_frame_equal(
         got.sort_values(["k", "k2"]).reset_index(drop=True), want, check_dtype=False
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    st.lists(st.integers(0, 7), min_size=60, max_size=60),
+    st.integers(2, 12),
+    st.integers(0, 7),
+)
+def test_bucket_pairs_match_brute_force(ids, sketch, width, thr):
+    """The shared LSH bucket-pair helper against brute force: a bucket
+    of at most ``max_width`` distinct ids gives exactly the a < b pairs
+    that pass the predicate; a capped bucket gives a subset of those that
+    holds every pair inside one chunk of its sorted order."""
+    import numpy as np
+
+    from scheduler_ray.stages.dedup import bucket_pair_spans, bucket_pairs
+
+    ids = np.array(ids, np.int64)
+    sk = np.array(sketch[: len(ids)], np.uint64)
+
+    def keep(x, y):
+        return (x ^ y) <= thr
+
+    uid, first = np.unique(ids, return_index=True)
+    usk = sk[first]
+    want = {
+        (int(uid[i]), int(uid[j]))
+        for i in range(len(uid))
+        for j in range(i + 1, len(uid))
+        if keep(usk[i], usk[j])
+    }
+    a, b = bucket_pairs(ids, sk, keep, width)
+    got = set(zip(a.tolist(), b.tolist()))
+    assert len(got) == len(a) or len(uid) > width  # no repeats when uncapped
+    assert all(x < y for x, y in got)
+    if len(uid) <= width:
+        assert got == want
+        return
+    assert got <= want
+    order, spans, capped = bucket_pair_spans(usk, uid, width)
+    assert capped
+    so, ss = uid[order], usk[order]
+    for lo, hi in spans:
+        for i in range(lo, hi):
+            for j in range(i + 1, hi):
+                if keep(ss[i], ss[j]):
+                    assert (min(so[i], so[j]), max(so[i], so[j])) in got
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,7 +14,7 @@ from scheduler_ray.stages.canonicalize import (
 )
 from scheduler_ray.stages.expand import TRIPLE_SCHEMA, expand_triples_batch
 from scheduler_ray.stages.extract import extract_jsonld_batch
-from scheduler_ray.stages.link import EntityLinker, RegistryIndex
+from scheduler_ray.stages.link import RegistryIndex, link_triples_batch
 
 
 def _pages_batch(html_list, urls=None):
@@ -425,7 +425,7 @@ def test_entity_linker_gating():
         }
     )
     srcs = pd.DataFrame({"source_id": ["on", "off"], "add_associated_mainstems": [True, False]})
-    linker = EntityLinker(reg, srcs)
+    enabled = dict(zip(srcs["source_id"], srcs["add_associated_mainstems"]))
     batch = pa.table(
         {
             "subj": pa.array(["raw1", "raw2"], pa.large_string()),
@@ -435,7 +435,7 @@ def test_entity_linker_gating():
             "graph": pa.array(["on", "off"], pa.large_string()),
         }
     )
-    out = linker(batch)
+    out = link_triples_batch(batch, RegistryIndex(reg), enabled)
     links = [
         (s, o)
         for s, p, o in zip(

@@ -18,13 +18,13 @@ import pandas as pd
 import pyarrow.compute as pc
 
 import ray.data as rd
-from ray.data.aggregate import Count
 
 from scheduler_ray import oracles
 from scheduler_ray.corpus import ensure_pages_fixture
 from scheduler_ray.pipelines import flagship
 from scheduler_ray.stages.extract import extract_stage
 from scheduler_ray.stages.link import LINEAR_ELEMENT
+from scheduler_ray.stages.relational import count_by
 
 
 def _fixture(sf_dir: str) -> str:
@@ -51,7 +51,7 @@ def _q_kg_sources(sf_dir: str):
     fx = _fixture(sf_dir)
     pages = flagship.read_pages(fx)
     ex = extract_stage(pages)
-    return ex.groupby("source").aggregate(Count(alias_name="n_pages"))
+    return count_by(ex, ["source"], "n_pages")
 
 
 def _q_kg_triples_raw(sf_dir: str):
@@ -108,7 +108,7 @@ def _q_kg_canonical_writer_gated(sf_dir: str):
 
 def _q_kg_pred_counts(sf_dir: str):
     ds = _q_kg_canonical(sf_dir)
-    return ds.groupby("pred").aggregate(Count(alias_name="n"))
+    return count_by(ds, ["pred"], "n")
 
 
 def _q_kg_cleanup(sf_dir: str):

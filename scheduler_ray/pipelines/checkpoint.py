@@ -13,9 +13,10 @@ graph per source, reference release_graph_generator.py:31-83).  Flow:
    then the manifest (atomic, last) with
    {input_hash, rows_in, triples_out, content_hash}.
 
-``content_hash`` is an order-insensitive sum of per-triple 64-bit hashes,
-computed distributed as a partial-aggregation groupby — reruns of
-unchanged input are byte-comparable without sorting anything.
+Both hashes are order-insensitive sums of per-row 32-bit hashes: an
+Arrow projection adds each row's hash and a ones column, and
+``segments.sorted_agg_by`` sums them per source, so reruns of unchanged
+input compare equal without sorting the rows themselves.
 """
 
 from __future__ import annotations
@@ -25,23 +26,33 @@ import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Sum
 
 from ..config import PipelineConfig
 from ..stages.extract import derive_source_batch
 from ..stages.link import INDEX_CACHE_NAME
+from ..stages.segments import sorted_agg_by
 from ..state import manifest as mf
 from . import flagship
 
-def _hash_col(s: pd.Series) -> np.ndarray:
+
+def _hash_col(a: pa.ChunkedArray) -> np.ndarray:
     """Per-row 32-bit content hashes as int64 — summable across millions of
     rows without int64 overflow (order-insensitive change detection)."""
-    h = pd.util.hash_array(s.to_numpy(object))
+    h = pd.util.hash_array(a.to_numpy(zero_copy_only=False).astype(object))
     return (h & np.uint64(0xFFFFFFFF)).astype(np.int64)
+
+
+def _hash_sums(ds: Dataset, key: str, project) -> dict:
+    """``{key value: (n, hash_sum)}``: per-key sums of the ``n`` and
+    ``hash_sum`` columns that ``project`` derives (empty for no rows)."""
+    parts = ds.map_batches(project, batch_format="pyarrow")
+    sums = sorted_agg_by(parts, key, {"n": "sum", "hash_sum": "sum"})
+    return {r[key]: (r["n"], r["hash_sum"]) for r in sums.take_all()}
 
 
 def input_summary(fixture_dir: str) -> pd.DataFrame:
@@ -50,25 +61,22 @@ def input_summary(fixture_dir: str) -> pd.DataFrame:
     The hash folds in the page *content* (html bytes), not just the url
     set, so a re-crawl that changes a page body under an unchanged url
     invalidates the partition — true ``.bytesum`` content-hash semantics
-    (reference userCode/defs_test.py:86-98), per ADVICE r1.
+    (reference userCode/defs_test.py:86-98), per ADVICE r1.  A page whose
+    url yields no source belongs to no partition: ``sorted_agg_by``
+    drops its null key.
     """
     pages = rd.read_parquet(f"{fixture_dir}/pages", columns=["url", "html"])
-    tagged = pages.map_batches(derive_source_batch, batch_format="pyarrow")
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        h = _hash_col(b["url"]) ^ (_hash_col(b["html"]) << 1)
-        h &= 0xFFFFFFFF
-        out = pd.DataFrame({"source": b["source"], "h": h, "n": 1})
-        return out.groupby("source", as_index=False).agg(
-            hash_sum=("h", "sum"), n_pages=("n", "sum")
-        )
+    def project(t: pa.Table) -> pa.Table:
+        t = derive_source_batch(t)
+        h = (_hash_col(t["url"]) ^ (_hash_col(t["html"]) << 1)) & 0xFFFFFFFF
+        return pa.table({"source": t["source"], "hash_sum": h, "n": np.ones_like(h)})
 
-    parts = tagged.map_batches(partial, batch_format="pandas")
-    agg = parts.groupby("source").aggregate(
-        Sum("hash_sum", alias_name="hash_sum"), Sum("n_pages", alias_name="n_pages")
-    ).to_pandas()
-    agg["input_hash"] = agg["hash_sum"].astype("int64").astype(str)
-    return agg[["source", "n_pages", "input_hash"]]
+    sums = _hash_sums(pages, "source", project)
+    return pd.DataFrame(
+        [(src, n, str(h)) for src, (n, h) in sums.items()],
+        columns=["source", "n_pages", "input_hash"],
+    ).astype({"n_pages": "int64"})
 
 
 def run_checkpointed(
@@ -104,27 +112,16 @@ def run_checkpointed(
         index_cache_path=f"{fixture_dir}/{INDEX_CACHE_NAME}",
     )
 
-    # per-partition triple count + content hash (partial agg, no shuffle of
-    # the triple set)
-    def tri_partial(b: pd.DataFrame) -> pd.DataFrame:
+    # per-partition triple count + content hash (the triple set itself is
+    # not shuffled); a source with no triples has no row here
+    def project(t: pa.Table) -> pa.Table:
         h = (
-            _hash_col(b["subj"]) ^ (_hash_col(b["pred"]) << 1) ^ (_hash_col(b["obj"]) << 2)
+            _hash_col(t["subj"]) ^ (_hash_col(t["pred"]) << 1) ^ (_hash_col(t["obj"]) << 2)
         ) & 0xFFFFFFFF
-        out = pd.DataFrame({"graph": b["graph"], "h": h, "n": 1})
-        return out.groupby("graph", as_index=False).agg(
-            content_sum=("h", "sum"), triples=("n", "sum")
-        )
+        return pa.table({"graph": t["graph"], "hash_sum": h, "n": np.ones_like(h)})
 
     canon = canon.materialize()
-    stats = (
-        canon.map_batches(tri_partial, batch_format="pandas")
-        .groupby("graph")
-        .aggregate(Sum("content_sum", alias_name="content_sum"), Sum("triples", alias_name="triples"))
-        .to_pandas()
-    )
-    stats["content_hash"] = stats["content_sum"].astype("int64").astype(str)
-    tri_count = dict(zip(stats["graph"], stats["triples"]))
-    content = dict(zip(stats["graph"], stats["content_hash"]))
+    stats = _hash_sums(canon, "graph", project)
 
     # partitioned write DIRECTLY into the hive layout — no staging dir and
     # no driver-side per-partition rename (round-2 verdict item 7: object
@@ -141,14 +138,15 @@ def run_checkpointed(
         # a source whose pages all had no/invalid JSON-LD still completes
         # — with zero triples (exit-3-non-fatal semantics)
         os.makedirs(os.path.join(data_dir, f"graph={src}"), exist_ok=True)
+        n, h = stats.get(src, (0, 0))
         mf.write_manifest(
             out_dir,
             src,
             {
                 "input_hash": hashes[src],
                 "rows_in": int(rows_in[src]),
-                "triples_out": int(tri_count.get(src, 0)),
-                "content_hash": content.get(src, "0"),
+                "triples_out": int(n),
+                "content_hash": str(h),
             },
         )
         completed.append(src)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 
 import pandas as pd
+import pyarrow as pa
 
 from ray.data import Dataset
 from ..stages.spatial import hilbert_index
@@ -36,9 +37,16 @@ _FIELD_PREDS = {
     "https://schema.org/longitude": "lon_milli",
 }
 _GEO_PREDS = {"schema:geo", "https://schema.org/geo"}
+#: every pivot block has this schema, so an all-null field column is
+#: never typed ``null`` in one block and ``string`` in the next
+_PIVOT_SCHEMA = pa.schema(
+    (c, pa.large_string())
+    for c in ["id", "geoconnex_sitemap", "feature_name", "feature_description",
+              "lat_milli", "lon_milli"]
+)
 
 
-def _pivot_partial(b: pd.DataFrame) -> pd.DataFrame:
+def _pivot_partial(b: pd.DataFrame) -> pa.Table:
     """Partial per-batch pivot.
 
     lat/lon live on the geo BLANK node (``expand.py`` emits
@@ -49,10 +57,8 @@ def _pivot_partial(b: pd.DataFrame) -> pd.DataFrame:
     (do NOT run it over pred-partitioned files).
     """
     b = b[b["pred"].isin(_FIELD_PREDS) | b["pred"].isin(_GEO_PREDS)]
-    cols = ["id", "geoconnex_sitemap", "feature_name", "feature_description",
-            "lat_milli", "lon_milli"]
     if b.empty:
-        return pd.DataFrame({c: pd.Series([], dtype=object) for c in cols})
+        return _PIVOT_SCHEMA.empty_table()
     # vectorized assembly (round-3 verdict item 8 — this was a per-row
     # dict loop): blank→parent via a keep-last map, owner resolution via
     # Series.map, field pivot via groupby().last().unstack()
@@ -78,10 +84,10 @@ def _pivot_partial(b: pd.DataFrame) -> pd.DataFrame:
             .unstack("field")
         )
     out = base.merge(piv, left_on="id", right_index=True, how="left")
-    for col in cols:
+    for col in _PIVOT_SCHEMA.names:
         if col not in out:
             out[col] = None
-    return out[cols]
+    return pa.Table.from_pandas(out, schema=_PIVOT_SCHEMA, preserve_index=False)
 
 
 def wkb_point(x: float, y: float) -> bytes:

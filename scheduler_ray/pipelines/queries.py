@@ -15,14 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..stages import dedup as dd
 from ..stages import relational as rel
 from ..stages import similarity as sim
 from ..stages import textops as tx
+from ..stages.segments import sorted_agg_by
 from ..stages.validate import validate_stage
 
 
@@ -36,37 +37,52 @@ def _round_cols(df: pd.DataFrame, cols: list[str], nd: int = 2) -> pd.DataFrame:
     return df
 
 
+def _ones(t: pa.Table) -> np.ndarray:
+    """The int64 ones column whose ``sorted_agg_by`` sum is a row count."""
+    return np.ones(t.num_rows, np.int64)
+
+
+def _doc_tokens(t: pa.Table) -> pa.Table:
+    """``(doc_id, t)`` for every non-empty space-separated token of each
+    document's text (SQL ``unnest(string_split(text, ' '))``)."""
+    toks = pc.split_pattern(t["text"], " ")
+    out = pa.table(
+        {"doc_id": t["doc_id"].take(pc.list_parent_indices(toks)), "t": pc.list_flatten(toks)}
+    )
+    return out.filter(pc.not_equal(out["t"], ""))
+
+
 # ----------------------------------------------------------- relational
 def q_lineitem_pricing(sf_dir: str):
-    """TPC-H-Q1-style pricing summary: partial per-batch aggregation →
-    small groupby (A1/A3 pattern), floats rounded to 2 for the oracle."""
+    """TPC-H-Q1-style pricing summary: an Arrow projection derives
+    ``disc_price`` → ``sorted_agg_by`` sums (A1/A3 pattern), floats
+    rounded to 2 for the oracle."""
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.assign(disc_price=b["l_extendedprice"] * (1 - b["l_discount"]))
-        return b.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_base_price=("l_extendedprice", "sum"),
-            sum_disc_price=("disc_price", "sum"),
-            n_rows=("l_quantity", "size"),
+    def project(t: pa.Table) -> pa.Table:
+        price = t["l_extendedprice"]
+        return pa.table(
+            {
+                "l_returnflag": t["l_returnflag"],
+                "l_linestatus": t["l_linestatus"],
+                "sum_qty": t["l_quantity"],
+                "sum_base_price": price,
+                "sum_disc_price": pc.multiply(price, pc.subtract(1, t["l_discount"])),
+                "n_rows": _ones(t),
+            }
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_price", alias_name="sum_base_price"),
-            Sum("sum_disc_price", alias_name="sum_disc_price"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
-        .to_pandas()
-    )
-    return _round_cols(out, ["sum_qty", "sum_base_price", "sum_disc_price"])
+    sums = ["sum_qty", "sum_base_price", "sum_disc_price", "n_rows"]
+    out = sorted_agg_by(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        dict.fromkeys(sums, "sum"),
+    ).to_pandas()
+    return _round_cols(out, sums[:3])
 
 
 SQL_LINEITEM_PRICING = """
@@ -88,8 +104,16 @@ def q_segment_revenue(sf_dir: str):
     customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = rel.join_auto(orders, customer, on="o_custkey", right_on="c_custkey")
-    out = rel.partial_groupby_sum(
-        joined, ["c_mktsegment"], {"o_totalprice": "revenue"}, count_alias="n_orders"
+
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"c_mktsegment": t["c_mktsegment"], "revenue": t["o_totalprice"], "n_orders": _ones(t)}
+        )
+
+    out = sorted_agg_by(
+        joined.map_batches(project, batch_format="pyarrow"),
+        "c_mktsegment",
+        {"revenue": "sum", "n_orders": "sum"},
     ).to_pandas()
     return _round_cols(out, ["revenue"])
 
@@ -198,24 +222,15 @@ FROM documents GROUP BY source
 
 def q_vocab_top_df(sf_dir: str):
     """Vocabulary document-frequency top-20 (tokenize → per-doc distinct
-    → df count → deterministic top-k).  Scale shape: a document's rows
-    live in one block, so per-BLOCK per-doc token dedup is globally
-    exact; only (token, partial_df) rows shuffle, and the final sort
-    runs over the aggregated vocabulary, not the corpus."""
+    → df count → deterministic top-k).  Scale shape: the same
+    distinct-then-count composition as ``q_event_window_distinct`` — a
+    ``sorted_agg_by`` DISTINCT over (token, doc) pairs (each block
+    deduped first, so only per-block distinct pairs shuffle), then a
+    count per token; the final sort runs over the aggregated
+    vocabulary, not the corpus."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def explode(b: pd.DataFrame) -> pd.DataFrame:
-        s = b.set_index("doc_id")["text"].str.split(" ").explode()
-        s = s[s.notna() & (s != "")]
-        df = s.reset_index().drop_duplicates()  # per-doc distinct tokens
-        out = df.groupby("text", as_index=False).size()
-        return out.rename(columns={"text": "t", "size": "df"})
-
-    counts = (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("t")
-        .aggregate(Sum("df", alias_name="df"))
-    )
+    pairs = sorted_agg_by(ds.map_batches(_doc_tokens, batch_format="pyarrow"), ["t", "doc_id"], {})
+    counts = rel.count_by(pairs, ["t"], "df")
     return counts.sort(["df", "t"], descending=[True, False]).limit(20)
 
 
@@ -324,22 +339,21 @@ WHERE rn <= CEIL(n * 1.0 / 10)
 
 def q_doc_rollup_counts(sf_dir: str):
     """ROLLUP(source, lang) counts + char sums — multi-level aggregation
-    derived entirely from the finest-level partials: the corpus streams
-    once into (source, lang) partials; the (source) and () levels
-    re-aggregate those bounded partials, never the raw rows."""
+    derived entirely from the finest level: the corpus streams once into
+    the (source, lang) ``sorted_agg_by``; the (source) and () levels
+    re-aggregate that bounded table, never the raw rows."""
     docs = _read(sf_dir, "documents", ["source", "lang", "n_chars"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby(["source", "lang"], as_index=False).agg(
-            n=("n_chars", "size"), chars=("n_chars", "sum")
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"source": t["source"], "lang": t["lang"], "n": _ones(t), "chars": t["n_chars"]}
         )
 
-    fine = (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby(["source", "lang"])
-        .aggregate(Sum("n", alias_name="n"), Sum("chars", alias_name="chars"))
-        .to_pandas()
-    )
+    fine = sorted_agg_by(
+        docs.map_batches(project, batch_format="pyarrow"),
+        ["source", "lang"],
+        {"n": "sum", "chars": "sum"},
+    ).to_pandas()
     mid = fine.groupby("source", as_index=False)[["n", "chars"]].sum()
     mid["lang"] = None
     top = pd.DataFrame(
@@ -409,36 +423,21 @@ def q_event_window_distinct(sf_dir: str):
     → global distinct over the composite key (each (u, w, type) then
     lives exactly once) → per-block count partials → summed.  The raw
     event stream never shuffles; only (u, w, type) distinct rows do."""
-    from ..stages.segments import sorted_agg_by
-
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        epoch = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        out = pd.DataFrame(
-            {
-                "user_id": b["user_id"],
-                "window": (epoch // 1_000_000) // 3600,
-                "event_type": b["event_type"],
-            }
+    def tag(t: pa.Table) -> pa.Table:
+        epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()).to_numpy()
+        window = (epoch // 1_000_000) // 3600
+        return pa.table(
+            {"user_id": t["user_id"], "window": window, "event_type": t["event_type"]}
         )
-        return out.drop_duplicates()
 
     distinct = sorted_agg_by(
-        ev.map_batches(tag, batch_format="pandas"),
+        ev.map_batches(tag, batch_format="pyarrow"),
         ["user_id", "window", "event_type"],
         {},
     )
-
-    def cnt(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby(["user_id", "window"], as_index=False).size()
-        return g.rename(columns={"size": "n_types"})
-
-    return sorted_agg_by(
-        distinct.map_batches(cnt, batch_format="pandas"),
-        ["user_id", "window"],
-        {"n_types": "sum"},
-    )
+    return rel.count_by(distinct, ["user_id", "window"], "n_types")
 
 
 SQL_EVENT_WINDOW_DISTINCT = """
@@ -455,8 +454,6 @@ def q_events_asof(sf_dir: str):
     range-sort, per-key vectorized searchsorted, no broadcast of either
     side).  The purchase side is deduped to unique (user, ts) first
     (max value) so the match is deterministic on both engines."""
-    from ..stages.segments import sorted_agg_by
-
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
     def clicks(b: pd.DataFrame) -> pd.DataFrame:
@@ -569,17 +566,12 @@ FROM s GROUP BY user_id, session
 def q_event_type_stats(sf_dir: str):
     ev = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("event_type", as_index=False).agg(
-            v_sum=("value", "sum"), n=("value", "size")
-        )
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table({"event_type": t["event_type"], "v_sum": t["value"], "n": _ones(t)})
 
-    out = (
-        ev.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("v_sum", alias_name="v_sum"), Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    out = sorted_agg_by(
+        ev.map_batches(project, batch_format="pyarrow"), "event_type", {"v_sum": "sum", "n": "sum"}
+    ).to_pandas()
     out["avg_value"] = (out["v_sum"] / out["n"]).round(4)
     return _round_cols(out[["event_type", "n", "avg_value"]], [])
 
@@ -592,15 +584,18 @@ FROM events GROUP BY event_type
 
 def q_brand_stats(sf_dir: str):
     ds = _read(sf_dir, "part", ["p_brand", "p_retailprice"])
-    out = (
-        ds.groupby("p_brand")
-        .aggregate(
-            Count(alias_name="n_parts"),
-            Max("p_retailprice", alias_name="max_price"),
-            Min("p_retailprice", alias_name="min_price"),
+
+    def project(t: pa.Table) -> pa.Table:
+        price = t["p_retailprice"]
+        return pa.table(
+            {"p_brand": t["p_brand"], "n_parts": _ones(t), "max_price": price, "min_price": price}
         )
-        .to_pandas()
-    )
+
+    out = sorted_agg_by(
+        ds.map_batches(project, batch_format="pyarrow"),
+        "p_brand",
+        {"n_parts": "sum", "max_price": "max", "min_price": "min"},
+    ).to_pandas()
     return _round_cols(out, ["max_price", "min_price"])
 
 
@@ -613,7 +608,7 @@ FROM part GROUP BY p_brand
 
 def q_distinct_segments(sf_dir: str):
     ds = _read(sf_dir, "customer", ["c_mktsegment"])
-    return pd.DataFrame({"c_mktsegment": sorted(ds.unique("c_mktsegment"))})
+    return sorted_agg_by(ds, "c_mktsegment", {})
 
 
 SQL_DISTINCT_SEGMENTS = "SELECT DISTINCT c_mktsegment FROM customer"
@@ -1096,7 +1091,7 @@ def q_curation_pipeline(sf_dir: str):
     pipeline runs end-to-end): quality scoring → threshold filter
     (n_tokens ≥ 40 and punct_ratio ≤ 0.05) → exact dedup keeping the
     smallest doc_id → surviving ids.  Every stage is a streaming
-    map_batches / partial-agg op; nothing materializes the corpus."""
+    map_batches / ``sorted_agg_by`` op; nothing materializes the corpus."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def keep(b: pd.DataFrame) -> pd.DataFrame:
@@ -1183,8 +1178,7 @@ GROUP BY 1, 2
 
 
 def q_label_counts(sf_dir: str):
-    emb = _read(sf_dir, "embeddings", ["label"])
-    return emb.groupby("label").aggregate(Count(alias_name="n"))
+    return rel.count_by(_read(sf_dir, "embeddings", ["label"]), ["label"], "n")
 
 
 SQL_LABEL_COUNTS = "SELECT label, COUNT(*) AS n FROM embeddings GROUP BY label"
@@ -1558,9 +1552,10 @@ def q_doc_tfidf_top(sf_dir: str):
     the float tfidf value itself is output-only, rounded to 6 like every
     float the oracle hashes.
 
-    Scale shape: one pass over the text builds (doc, token, tf) partials
-    (exact per block — a document is a single input row, so its tokens
-    never straddle batches); the materialized tf stream feeds both the
+    Scale shape: one pass over the text emits (doc, token) rows whose
+    ``sorted_agg_by`` count is the tf table (each block pre-counts its
+    own documents, so only tf-sized rows shuffle); the materialized tf
+    stream feeds both the
     vocabulary-DF aggregate (bounded by vocabulary size, not corpus
     size) and the size-gated ``join_auto`` back onto itself; the top-k
     finish is the bounded-partials ``topk_per_group``.  Raw text shuffles
@@ -1568,26 +1563,16 @@ def q_doc_tfidf_top(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     n_docs = int(docs.count())
 
-    def tf_explode(b: pd.DataFrame) -> pd.DataFrame:
-        s = b.set_index("doc_id")["text"].str.split(" ").explode()
-        s = s[s.notna() & (s != "")]
-        g = s.reset_index().groupby(["doc_id", "text"], as_index=False).size()
-        return g.rename(columns={"text": "t", "size": "tf"})
+    def tokens(t: pa.Table) -> pa.Table:
+        d = _doc_tokens(t)
+        return d.append_column("tf", pa.array(_ones(d)))
 
     # materialized: consumed twice (DF aggregate + join), and re-executing
     # the tokenizer would re-read every byte of text
-    tf = docs.map_batches(tf_explode, batch_format="pandas").materialize()
-
-    def df_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("t", as_index=False).size().rename(columns={"size": "df"})
-
-    dfds = (
-        tf.map_batches(df_partial, batch_format="pandas")
-        .groupby("t")
-        .aggregate(Sum("df", alias_name="df"))
-    )
-
-    joined = rel.join_auto(tf, dfds, on="t")
+    tf = sorted_agg_by(
+        docs.map_batches(tokens, batch_format="pyarrow"), ["doc_id", "t"], {"tf": "sum"}
+    ).materialize()
+    joined = rel.join_auto(tf, rel.count_by(tf, ["t"], "df"), on="t")
 
     def add_rank(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -1673,22 +1658,12 @@ FROM documents
 def q_doc_mode_lang(sf_dir: str):
     """Per-source dominant language (per-group MODE with deterministic
     ties) — the corpus-composition op behind "which language do I route
-    this domain's pipeline through".  Pure composition: per-block
-    (source, lang) count partials → small groupby over the bounded
-    histogram (sources × langs, never the corpus) → ``topk_per_group``
+    this domain's pipeline through".  Pure composition: a
+    ``count_by`` over (source, lang) — the bounded histogram (sources ×
+    langs, never the corpus) → ``topk_per_group``
     k=1 with (cnt DESC, lang ASC) — the argmax is exact and
     layout-independent; raw rows never shuffle."""
-    docs = _read(sf_dir, "documents", ["source", "lang"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby(["source", "lang"], as_index=False).size()
-        return g.rename(columns={"size": "cnt"})
-
-    hist = (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby(["source", "lang"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    hist = rel.count_by(_read(sf_dir, "documents", ["source", "lang"]), ["source", "lang"], "cnt")
     return rel.topk_per_group(hist, "source", "cnt", 1, tiebreak="lang")
 
 
@@ -1795,7 +1770,7 @@ def q_doc_langs_concat(sf_dir: str):
     bounded (source, lang) pairs (``sorted_agg_by`` with empty aggs —
     the raw corpus never shuffles, only distinct partials) →
     ``sorted_map_groups`` join into one sorted comma-list per source."""
-    from ..stages.segments import sorted_agg_by, sorted_map_groups
+    from ..stages.segments import sorted_map_groups
 
     docs = _read(sf_dir, "documents", ["source", "lang"])
     dist = sorted_agg_by(docs, ["source", "lang"], {})

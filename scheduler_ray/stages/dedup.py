@@ -25,7 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Count, Min
+
+from .segments import sorted_agg_by, sorted_map_groups
 
 _MERSENNE = (1 << 61) - 1
 
@@ -118,9 +119,9 @@ def bucket_pairs(
     return np.concatenate(a), np.concatenate(b)
 
 
-def _stable_hash(series: pd.Series) -> np.ndarray:
+def _stable_hash(a: pa.ChunkedArray) -> np.ndarray:
     """Deterministic uint64 content hash (cross-process stable)."""
-    return pd.util.hash_array(series.to_numpy(object)).astype(np.uint64)
+    return pd.util.hash_array(a.to_numpy(zero_copy_only=False).astype(object))
 
 
 # ------------------------------------------------------------- exact dedup
@@ -128,29 +129,17 @@ def exact_dedup(docs: Dataset) -> Dataset:
     """Keep the smallest doc_id per exact text (D1 'first wins' semantics,
     reference userCode/assetGroups/config.py:133-141).
 
-    Hash-partitioned: per-batch partial min(doc_id) per text-hash combiner
-    first, then one small groupby over partials — the big side never
-    shuffles raw text.
+    One Arrow projection to ``(text_hash, doc_id)``, then the per-hash
+    min(doc_id) through ``sorted_agg_by``, whose per-block aggregate is
+    the combiner — the raw text never shuffles, and no per-group Python
+    accumulator runs at corpus cardinality.
     """
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        h = _stable_hash(batch["text"])
-        out = batch.assign(text_hash=h).groupby("text_hash", as_index=False).agg(
-            keep_doc_id=("doc_id", "min")
-        )
-        return out
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table({"text_hash": _stable_hash(t["text"]), "doc_id": t["doc_id"]})
 
-    partials = docs.map_batches(partial, batch_format="pandas")
-    # per-hash global min via the sorted-agg primitive, NOT Ray's
-    # groupby aggregate (per-GROUP Python accumulators — at corpus
-    # cardinality the reduce would dominate the whole dedup)
-    from .segments import sorted_agg_by
-
-    kept = sorted_agg_by(partials, "text_hash", {"keep_doc_id": "min"})
-    return kept.map_batches(
-        lambda t: t.rename_columns(["text_hash", "doc_id"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    return sorted_agg_by(
+        docs.map_batches(project, batch_format="pyarrow"), "text_hash", {"doc_id": "min"}
     )
 
 
@@ -348,7 +337,7 @@ def distributed_pair_verify(
     """Phase-2 exact verification with NO driver-resident pair frame
     (round-3 verdict item 2): the candidate pair set stays a Dataset
     end-to-end.  The only driver-side artifact is the unique candidate-id
-    array (distributed ``unique`` → ``ray.put`` broadcast).  Pair
+    array (a ``sorted_agg_by`` DISTINCT → ``ray.put`` broadcast).  Pair
     membership is a distributed union-join: candidate payload rows
     (fetched from ``data`` for candidate ids only) and exploded member
     rows (2 per pair, payload null) sort on ``id_col``; a sorted
@@ -361,7 +350,6 @@ def distributed_pair_verify(
     import ray
     import ray.data as rd
 
-    from .segments import sorted_map_groups
 
     def _i64(t: pa.Table, c: str) -> np.ndarray:
         return t[c].to_numpy().astype(np.int64)
@@ -370,10 +358,10 @@ def distributed_pair_verify(
         lambda t: pa.table({id_col: np.concatenate([_i64(t, a_col), _i64(t, b_col)])}),
         batch_format="pyarrow",
     )
-    uniq = ids_ds.unique(id_col)
-    if not uniq:
+    uniq = sorted_agg_by(ids_ds, id_col, {}).take_all()
+    cand_ids = np.array([r[id_col] for r in uniq], np.int64)
+    if not len(cand_ids):
         return rd.from_arrow(pa.table({a_col: pa.array([], pa.int64()), b_col: pa.array([], pa.int64())}))
-    cand_ids = np.sort(np.fromiter(uniq, dtype=np.int64))  # unique() may yield a set
     ids_ref = ray.put(cand_ids)
 
     def fetch(t: pa.Table) -> pa.Table:
@@ -535,7 +523,6 @@ def minhash_lsh_pairs(
         a, b = bucket_pairs(g["doc_id"].to_numpy(), sk.astype(np.uint64), est_ok, max_bucket_width)
         return pa.table({"doc_a": a, "doc_b": b})
 
-    from .segments import sorted_agg_by, sorted_map_groups
 
     # sorted segment execution, NOT one map_groups UDF task per bucket
     # (bucket count scales with the corpus — per-group Python overhead
@@ -656,7 +643,6 @@ def simhash_near_pairs(docs: Dataset, max_hamming: int = 3) -> Dataset:
         )
         return pa.table({"doc_a": a, "doc_b": b})
 
-    from .segments import sorted_agg_by, sorted_map_groups
 
     out = sorted_map_groups(exploded, ["chunk", "chunk_val"], pairs)
     return sorted_agg_by(out, ["doc_a", "doc_b"], {}).select_columns(

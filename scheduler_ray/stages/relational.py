@@ -1,11 +1,13 @@
-"""Relational operators: broadcast joins, partial aggregation, windows.
+"""Relational operators: broadcast joins, grouped aggregates, windows.
 
 The reference's joins are all small-side lookups (SURVEY.md §2.4), so the
 primary join here is the broadcast hash join (``ray.put`` the dimension
-table once, pandas merge per batch).  Wide aggregations pre-combine per
-batch before the small ``groupby`` (SURVEY.md §2.5 / ray_guide partial
-aggregation pattern).  Event-time windows follow the ordered-log recipe:
-``groupby(key)`` + in-group pandas windowing.
+table once, pandas merge per batch).  Every keyed sum / count / min / max
+is one Arrow projection (key columns, value columns, an int64 ones
+column for a count) into ``segments.sorted_agg_by``, whose per-block
+Arrow aggregate is the combiner (SURVEY.md §2.5): only one row per key
+per block reaches the range sort.  Event-time windows are window-id
+columns of that projection.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
-from ray.data.aggregate import Sum
 
 from .segments import (
     _drop_empty_blocks,
@@ -196,29 +197,14 @@ def semi_join_auto(
     )
 
 
-def partial_groupby_sum(
-    ds: Dataset,
-    keys: list[str],
-    sums: dict[str, str],
-    count_alias: str | None = None,
-) -> Dataset:
-    """Pre-aggregate per batch, then groupby the (much smaller) partials.
+def count_by(ds: Dataset, keys: "list[str]", out_col: str) -> Dataset:
+    """Rows per ``keys`` (SQL ``COUNT(*) GROUP BY``) as ``(*keys,
+    out_col)``: the ``sorted_agg_by`` sum of an int64 ones column."""
 
-    ``sums`` maps input column → output alias.  The wide input never
-    shuffles; only one partial row per key per batch does.
-    """
+    def ones(t: pa.Table) -> pa.Table:
+        return t.select(keys).append_column(out_col, pa.array(np.ones(t.num_rows, np.int64)))
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        aggs = {alias: (col, "sum") for col, alias in sums.items()}
-        if count_alias:
-            aggs[count_alias] = (keys[0], "size")
-        return batch.groupby(keys, as_index=False).agg(**aggs)
-
-    partials = ds.map_batches(partial, batch_format="pandas")
-    final_aggs = [Sum(alias, alias_name=alias) for alias in sums.values()]
-    if count_alias:
-        final_aggs.append(Sum(count_alias, alias_name=count_alias))
-    return partials.groupby(keys).aggregate(*final_aggs)
+    return sorted_agg_by(ds.map_batches(ones, batch_format="pyarrow"), keys, {out_col: "sum"})
 
 
 def tumbling_window_agg(
@@ -232,30 +218,27 @@ def tumbling_window_agg(
     """Tumbling event-time windows per key (ordered-log semantics; no
     watermarks — the input is a bounded batch, SURVEY.md §2.9).
 
-    Implemented as a vectorized bucket computation + partial aggregation:
-    window = floor(epoch_seconds / window_s).
+    Implemented as a vectorized window id + ``sorted_agg_by``:
+    window = floor(epoch_seconds / window_s).  Window cardinality is
+    keys × windows (hundreds of thousands at bench scale), the regime
+    where Ray's per-group Python accumulators dominate (measured 68 s
+    for 400k rows / 382k groups on the hopping variant; the sorted-agg
+    path does the same merge in ~3 s).
     """
 
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        epoch = batch[ts_col].astype("int64") // 1_000_000
-        w = (epoch // window_s).astype("int64")
-        out = pd.DataFrame(
-            {key: batch[key], "window": w, value_col: batch[value_col]}
-        )
-        return out.groupby([key, "window"], as_index=False).agg(
-            win_sum=(value_col, "sum"), win_n=(value_col, "size")
+    def bucket(t: pa.Table) -> pa.Table:
+        epoch = pc.cast(t[ts_col], pa.int64()).to_numpy() // 1_000_000
+        return pa.table(
+            {
+                key: t[key],
+                "window": epoch // window_s,
+                "win_sum": t[value_col],
+                "win_n": np.ones(t.num_rows, np.int64),
+            }
         )
 
-    # sorted_agg_by, not Ray's groupby aggregate: window cardinality is
-    # keys × windows (hundreds of thousands at bench scale), the regime
-    # where per-group Python accumulators dominate (measured 68 s for
-    # 400k rows / 382k groups on the hopping variant; the sorted-agg
-    # path does the same merge in ~3 s)
-
-    partials = events.map_batches(bucket, batch_format="pandas")
-    return sorted_agg_by(
-        partials, [key, "window"], {"win_sum": "sum", "win_n": "sum"}
-    )
+    partials = events.map_batches(bucket, batch_format="pyarrow")
+    return sorted_agg_by(partials, [key, "window"], {"win_sum": "sum", "win_n": "sum"})
 
 
 def session_kernel(key: str, ts_col: str, gap_s: int):
@@ -394,32 +377,30 @@ def hopping_window_agg(
     belongs to ``ceil(window_s / hop_s)`` overlapping windows
     (tumbling == hop_s = window_s).
 
-    Same scale shape as :func:`tumbling_window_agg`: the explode +
-    per-block partial aggregation bounds what shuffles to
-    (keys × windows) per block — the raw event stream fans out only
-    inside the map task, never across the exchange.  Bounded-batch
-    semantics (no watermarks), floored-second event time.
+    Same scale shape as :func:`tumbling_window_agg`: the explode runs
+    inside the map task and ``sorted_agg_by``'s per-block aggregate
+    bounds what shuffles to (keys × windows) per block — the raw event
+    stream never crosses the exchange.  Bounded-batch semantics (no
+    watermarks), floored-second event time.
     """
     n_win = -(-window_s // hop_s)
 
-    def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        epoch = (batch[ts_col].astype("int64") // 1_000_000).to_numpy()
+    def bucket(t: pa.Table) -> pa.Table:
+        epoch = pc.cast(t[ts_col], pa.int64()).to_numpy() // 1_000_000
         base = (epoch // hop_s) * hop_s  # latest window start containing t
         starts = base[:, None] - np.arange(n_win)[None, :] * hop_s
         valid = starts > (epoch[:, None] - window_s)
-        idx = np.repeat(np.arange(len(batch)), n_win)[valid.ravel()]
-        out = pd.DataFrame(
+        idx = np.repeat(np.arange(t.num_rows), n_win)[valid.ravel()]
+        return pa.table(
             {
-                key: batch[key].to_numpy()[idx],
+                key: t[key].take(idx),
                 "win_start": starts.ravel()[valid.ravel()],
-                value_col: batch[value_col].to_numpy()[idx],
+                "win_sum": t[value_col].take(idx),
+                "win_n": np.ones(len(idx), np.int64),
             }
         )
-        return out.groupby([key, "win_start"], as_index=False).agg(
-            win_sum=(value_col, "sum"), win_n=(value_col, "size")
-        )
 
-    partials = events.map_batches(bucket, batch_format="pandas")
+    partials = events.map_batches(bucket, batch_format="pyarrow")
     return sorted_agg_by(
         partials, [key, "win_start"], {"win_sum": "sum", "win_n": "sum"}
     )
@@ -501,9 +482,9 @@ def zscore_per_group(
     """Per-group z-score normalization (``(x - mean_g) / stddev_samp_g``)
     — the feature-scaling / outlier-trim curation step.
 
-    Scale shape (aggregate-then-rejoin enrichment): per-block
-    ``(key, sum, sumsq, n)`` partials → ``sorted_agg_by`` (only one
-    partial row per key per block shuffles) → the keys-cardinality
+    Scale shape (aggregate-then-rejoin enrichment): per-row
+    ``(key, x, x², 1)`` moments → ``sorted_agg_by`` (only one partial
+    row per key per block shuffles) → the keys-cardinality
     moments table rejoins the raw stream through size-gated
     :func:`join_auto` (broadcast under the ceiling, partitioned hash
     join above).  The raw rows are never shuffled in the broadcast
@@ -511,15 +492,13 @@ def zscore_per_group(
     ``STDDEV_SAMP`` returns NULL.
     """
 
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        v = b[value_col].to_numpy(np.float64)
-        g = pd.DataFrame({key: b[key], "_s": v, "_ss": v * v, "_n": 1})
-        return g.groupby(key, as_index=False).agg(
-            _s=("_s", "sum"), _ss=("_ss", "sum"), _n=("_n", "sum")
-        )
+    def moments(t: pa.Table) -> pa.Table:
+        v = pc.cast(t[value_col], pa.float64())
+        n = np.ones(t.num_rows, np.int64)
+        return pa.table({key: t[key], "_s": v, "_ss": pc.multiply(v, v), "_n": n})
 
     stats = sorted_agg_by(
-        ds.map_batches(moments, batch_format="pandas"),
+        ds.map_batches(moments, batch_format="pyarrow"),
         key,
         {"_s": "sum", "_ss": "sum", "_n": "sum"},
     )
@@ -560,8 +539,8 @@ def stratified_sample(
     integer arithmetic on both engines (a float ``frac * n`` differs
     between binary doubles and SQL decimals at boundaries).
 
-    Scale shape: per-block ``(key, cnt)`` partials → ``sorted_agg_by``
-    counts (one row per key) → counts rejoin the stream through
+    Scale shape: ``sorted_agg_by`` counts (one row per key) → counts
+    rejoin the stream through
     size-gated :func:`join_auto` → per-block pruning caps each block's
     contribution at ``quota_g`` rows per group → ``sorted_map_groups``
     exact finish over the bounded survivors.  No global sort; raw rows
@@ -569,13 +548,7 @@ def stratified_sample(
     be unique per group (e.g. a doc id) for a deterministic sample.
     """
 
-    def counts(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby(key, as_index=False).size()
-        return g.rename(columns={"size": "_n"})
-
-    n_by_key = sorted_agg_by(
-        ds.map_batches(counts, batch_format="pandas"), key, {"_n": "sum"}
-    )
+    n_by_key = count_by(ds, [key], "_n")
     joined = join_auto(
         ds, n_by_key, on=key, broadcast_max_rows=broadcast_max_rows
     )
@@ -792,24 +765,15 @@ def quantile_per_group(
     distribution-stats curation op ("median document length per
     source").
 
-    Scale shape: per-block ``(key, value) → count`` partials, a groupby
-    over the HISTOGRAM (cardinality = keys × distinct values — bounded
+    Scale shape: a ``(key, value) → count`` HISTOGRAM through
+    ``sorted_agg_by`` (cardinality = keys × distinct values — bounded
     for ints/rounded floats, never the row count), then the interpolated
-    quantile per key from cumulative counts.  The raw column never
-    shuffles; for unbounded-cardinality floats, quantize ``value_col``
-    first (the histogram is the contract).
+    quantile per key from cumulative counts.  Only per-block histogram
+    rows shuffle; for unbounded-cardinality floats, quantize
+    ``value_col`` first (the histogram is the contract).
     """
     out_col = out_col or f"q{int(q * 100)}"
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby([key, value_col], as_index=False).size()
-        return g.rename(columns={"size": "cnt"})
-
-    hist = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby([key, value_col])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
+    hist = count_by(ds, [key, value_col], "cnt")
 
     def qtile(g: pa.Table) -> pa.Table:
         g = g.sort_by(value_col)
@@ -900,7 +864,7 @@ def ntile_per_group(
     asserted — the ADVICE narrowing lesson: never pack silently), ranks
     come from ``group_prefix_sum`` (one range-sort + segmented cumsum +
     O(#blocks) carry chain — rows never leave their block after the
-    sort), group counts are a bounded partial-aggregate table rejoined
+    sort), group counts are a bounded ``count_by`` table rejoined
     through size-gated ``join_auto``, and the bucket formula is pure
     vectorized arithmetic.  No per-group Python anywhere.
     """
@@ -929,17 +893,7 @@ def ntile_per_group(
         ds.map_batches(pack, batch_format="pandas"), key, "_one", "_ord", out_col="_rank"
     )
 
-    def count_partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby(key, as_index=False).size()
-        return g.rename(columns={"size": "_n"})
-
-    counts = (
-        ranked.map_batches(count_partial, batch_format="pandas")
-        .groupby(key)
-        .aggregate(Sum("_n", alias_name="_n"))
-    )
-
-    joined = join_auto(ranked, counts, on=key)
+    joined = join_auto(ranked, count_by(ranked, [key], "_n"), on=key)
 
     def bucketize(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
@@ -1017,8 +971,8 @@ def corr_per_group(
 ) -> Dataset:
     """Per-group Pearson correlation (SQL ``corr(x, y) GROUP BY key``) —
     the CO-moment aggregation pattern (``zscore_per_group`` covers
-    single-variable moments): per-block ``(n, Σx, Σy, Σx², Σy², Σxy)``
-    partials, a keys-cardinality groupby over those six numbers, and a
+    single-variable moments): per-row ``(1, x, y, x², y², xy)`` into a
+    keys-cardinality ``sorted_agg_by`` over those six sums, and a
     vectorized closed-form finish.  The raw rows never shuffle and
     nothing driver-side scales with the corpus.
 
@@ -1030,19 +984,16 @@ def corr_per_group(
     Groups with zero variance yield NaN (SQL NULL).
     """
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        x = b[x_col].to_numpy(np.float64)
-        y = b[y_col].to_numpy(np.float64)
-        t = pd.DataFrame(
-            {key: b[key], "_n": 1, "_sx": x, "_sy": y, "_sxx": x * x, "_syy": y * y, "_sxy": x * y}
+    def moments(t: pa.Table) -> pa.Table:
+        x = t[x_col].to_numpy().astype(np.float64)
+        y = t[y_col].to_numpy().astype(np.float64)
+        n = np.ones(t.num_rows, np.int64)
+        return pa.table(
+            {key: t[key], "_n": n, "_sx": x, "_sy": y, "_sxx": x * x, "_syy": y * y, "_sxy": x * y}
         )
-        return t.groupby(key, as_index=False).sum()
 
-    # sorted_agg_by, not Ray's groupby aggregate: sum is associative over
-    # per-block partials, and the hash-shuffle reduce costs ~4× more wall
-    # on bounded partial tables (the round-4 sorted-agg migration lesson)
     sums = sorted_agg_by(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(moments, batch_format="pyarrow"),
         key,
         {c: "sum" for c in ["_n", "_sx", "_sy", "_sxx", "_syy", "_sxy"]},
     )

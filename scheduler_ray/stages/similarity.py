@@ -27,7 +27,6 @@ import pyarrow as pa
 
 import ray
 from ray.data import Dataset
-from ray.data.aggregate import Count
 
 
 def _embedding_matrix(batch: pd.DataFrame) -> np.ndarray:

@@ -19,23 +19,16 @@ import numpy as np
 import pandas as pd
 
 from ray.data import Dataset
-from ray.data.aggregate import Sum
+
+from .relational import count_by
 
 
 def detect_hot_keys(ds: Dataset, key: str, *, hot_fraction: float = 0.05) -> list[str]:
-    """Keys holding more than ``hot_fraction`` of rows (partial-agg count)."""
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby(key, as_index=False).size().rename(columns={"size": "n"})
-
-    counts = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby(key)
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    total = counts["n"].sum()
-    return sorted(counts.loc[counts["n"] > hot_fraction * total, key])
+    """Keys holding more than ``hot_fraction`` of the rows with a non-null
+    key (a ``count_by``)."""
+    counts = {r[key]: r["n"] for r in count_by(ds, [key], "n").take_all()}
+    total = sum(counts.values())
+    return sorted(k for k, n in counts.items() if n > hot_fraction * total)
 
 
 def add_salt(
@@ -65,25 +58,6 @@ def add_salt(
         return b
 
     return ds.map_batches(salt, batch_format="pandas")
-
-
-def salted_group_sizes(
-    ds: Dataset, key: str, *, hot_fraction: float = 0.05, factor: int = 8
-) -> pd.DataFrame:
-    """Demonstration/diagnostic: group sizes after salting hot keys —
-    the max (key, salt) group size bounds the longest group task."""
-    hot = detect_hot_keys(ds, key, hot_fraction=hot_fraction)
-    salted = add_salt(ds, key, hot, factor=factor)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby([key, "salt"], as_index=False).size().rename(columns={"size": "n"})
-
-    return (
-        salted.map_batches(partial, batch_format="pandas")
-        .groupby([key, "salt"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
 
 
 def salted_map_groups(

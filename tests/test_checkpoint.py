@@ -56,6 +56,90 @@ def test_run_resume_skips_completed(fixture_sf0001, tmp_out):
     assert m_after["content_hash"] == m_before["content_hash"]
 
 
+#: sf0.001 input hashes, fixed so that a change to the scan's hashing or
+#: aggregation (which would rebuild every source on the next resume) fails
+_INPUT_HASHES = {
+    "src0": "54439109808", "src1": "53960870321", "src2": "50898361914",
+    "src3": "54260795678", "src4": "57652228406", "src5": "53160803306",
+    "src6": "51970042539", "src7": "53513260963", "src8": "52245899055",
+    "src9": "52850244894", "src10": "49396463947", "src11": "63367905578",
+    "src12": "48579321912", "src13": "51765920527", "src14": "55404488677",
+    "src15": "49149097122", "src16": "48647042429", "src17": "54978375985",
+    "src18": "49298392309", "src19": "56128328323",
+}
+
+
+def test_hashes_pinned(fixture_sf0001, tmp_out):
+    """``input_hash`` and ``content_hash`` are golden: any change to how
+    they are computed rebuilds every committed source."""
+    s = cp.input_summary(fixture_sf0001)
+    assert dict(zip(s["source"], s["input_hash"])) == _INPUT_HASHES
+    assert (s["n_pages"] == 25).all()
+    out = os.path.join(tmp_out, "kg")
+    cp.run_checkpointed(fixture_sf0001, out)
+    golden = {
+        "src0": (142, "307101358552"),
+        "src3": (152, "346708800092"),
+        "src7": (135, "286798549255"),
+        "src13": (137, "290304676755"),
+    }
+    for src, (n, h) in golden.items():
+        m = mf.load_manifest(out, src)
+        assert (m["triples_out"], m["content_hash"]) == (n, h)
+        assert m["input_hash"] == _INPUT_HASHES[src]
+
+
+def _page_fixture(fixture_sf0001, path, n_pages, html=None, extra_urls=()):
+    """A fixture dir with the first ``n_pages`` pages of sf0.001 (html
+    replaced by ``html`` when given) plus pages at ``extra_urls``; returns
+    the sources of those ``n_pages``."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from scheduler_ray.stages.link import INDEX_CACHE_NAME
+
+    os.makedirs(os.path.join(path, "pages"))
+    for f in ("registry.parquet", "sources.parquet", INDEX_CACHE_NAME):
+        shutil.copy(os.path.join(fixture_sf0001, f), path)
+    pages = pq.read_table(os.path.join(fixture_sf0001, "pages")).slice(0, n_pages)
+    if html is not None:
+        pages = pages.set_column(2, "html", pa.array([html] * n_pages, pa.binary()))
+    sources = sorted({u.split("/")[3] for u in pages["url"].to_pylist()})
+    for url in extra_urls:
+        extra = pages.slice(0, 1).set_column(0, "url", pa.array([url], pa.string()))
+        pages = pa.concat_tables([pages, extra])
+    pq.write_table(pages, os.path.join(path, "pages", "part-0.parquet"))
+    return sources
+
+
+def test_input_summary_skips_sourceless_page(fixture_sf0001, tmp_path):
+    """A page whose url yields no source belongs to no partition."""
+    fx = str(tmp_path / "fx")
+    sources = _page_fixture(
+        fixture_sf0001, fx, 30, extra_urls=["https://example.org", "https://example.org/x"]
+    )
+    s = cp.input_summary(fx)
+    assert sorted(s["source"]) == sources and s["n_pages"].sum() == 30
+    assert s["source"].notna().all()
+
+
+def test_zero_triple_rebuild_completes(fixture_sf0001, tmp_path):
+    """A pending source whose pages carry no ld+json still commits, with
+    ``triples_out`` 0 and ``content_hash`` "0", even when no pending
+    source yields a triple."""
+    fx, out = str(tmp_path / "fx"), str(tmp_path / "kg")
+    html = b"<html><body><p>moved</p></body></html>"
+    sources = _page_fixture(fixture_sf0001, fx, 40, html=html)
+    r = cp.run_checkpointed(fx, out)
+    assert r["completed"] == sources
+    for src in sources:
+        m = mf.load_manifest(out, src)
+        assert (m["triples_out"], m["content_hash"]) == (0, "0")
+    assert cp.run_checkpointed(fx, out)["skipped"] == sources
+
+
 def test_partition_barrier(tmp_out):
     mf.write_manifest(tmp_out, "a", {"input_hash": "1"})
     assert not mf.all_partitions_complete(tmp_out, {"a", "b"})

@@ -306,6 +306,30 @@ def test_feature_table_pivot(fixture_sf0001):
     assert row["geometry"][:1] == b"\x01" and "hilbert" in feats
 
 
+def test_pivot_partial_one_schema():
+    """Every pivot block has one Arrow schema: an empty block, and a block
+    whose features lack some fields, type every column as the full one
+    does (no ``null``-typed column next to a ``string`` one)."""
+    from scheduler_ray.pipelines.export import _pivot_partial
+
+    b = pd.DataFrame(
+        {
+            "subj": ["f1", "f1", "_:f1#b0", "_:f1#b0", "f2"],
+            "pred": ["schema:name", "schema:geo", "schema:latitude", "schema:longitude",
+                     "schema:description"],
+            "obj": ["N", "_:f1#b0", "1", "2", "D"],
+            "graph": ["g1", "g1", "g1", "g1", "g2"],
+        }
+    )
+    full, sparse, empty = _pivot_partial(b), _pivot_partial(b.iloc[4:]), _pivot_partial(b.iloc[:0])
+    assert sparse.schema == full.schema == empty.schema
+    assert full.to_pylist()[0] == {
+        "id": "f1", "geoconnex_sitemap": "g1", "feature_name": "N",
+        "feature_description": None, "lat_milli": "1", "lon_milli": "2",
+    }
+    assert sparse.num_rows == 1 and empty.num_rows == 0
+
+
 def test_feature_table_grouped_pivot_contiguity_free(fixture_sf0001):
     """pivot_mode='grouped' must reproduce the contiguous pivot even when
     every document's rows are scattered across batches (the contiguous

@@ -20,7 +20,9 @@ def test_detect_hot_keys():
 
 def test_salting_flattens_groups():
     ds = _skewed()
-    sizes = skew.salted_group_sizes(ds, "k", hot_fraction=0.5, factor=8)
+    hot = skew.detect_hot_keys(ds, "k", hot_fraction=0.5)
+    salted = skew.add_salt(ds, "k", hot, factor=8).to_pandas()
+    sizes = salted.groupby(["k", "salt"], as_index=False).size().rename(columns={"size": "n"})
     hot_sizes = sizes[sizes["k"] == "hot"]["n"]
     assert len(hot_sizes) == 8  # hot key split into 8 sub-groups
     assert hot_sizes.max() < 900 / 8 * 2  # roughly flat

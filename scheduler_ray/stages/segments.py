@@ -268,8 +268,8 @@ def sorted_agg_by(
 
 
 def sorted_map_groups(ds: Dataset, keys: "list[str]", fn) -> Dataset:
-    """``groupby(keys).map_groups(fn)`` semantics without one Python UDF
-    task per group.
+    """The semantics of Ray's ``map_groups(fn)`` on ``groupby(keys)``
+    without one Python UDF task per group.
 
     Ray's map_groups reduce builds a sub-block and calls the UDF once
     per GROUP (~0.5-1 ms each) — at corpus-scale group counts (LSH
@@ -280,7 +280,7 @@ def sorted_map_groups(ds: Dataset, keys: "list[str]", fn) -> Dataset:
 
     ``fn``: Arrow group table → Arrow table, called once per WHOLE
     group and never on an empty table — the contract of
-    ``Dataset.map_groups(fn, batch_format="pyarrow")``.  Empty outputs
+    Ray's ``map_groups(fn, batch_format="pyarrow")``.  Empty outputs
     are dropped, so a group that yields nothing returns any empty table.
     Output blocks are the concatenated ``fn`` results; row order differs
     from map_groups (callers must be order-insensitive).

@@ -9,8 +9,10 @@ by salting: any per-key operation whose key distribution is hot gets a
 phase per (key, salt), and merges the small per-salt partials.
 
 For plain ``map_batches`` stages skew is a non-issue (Ray splits blocks by
-size); salting matters for ``groupby``/``map_groups`` where one key =
-one task.
+size); salting matters where one key's rows are processed whole, as in
+``segments.sorted_map_groups``: grouping the salted rows on
+``[key, salt]`` splits a hot key into ``factor`` groups (the n-quads
+release's ``salt_factor``).
 """
 
 from __future__ import annotations
@@ -58,20 +60,3 @@ def add_salt(
         return b
 
     return ds.map_batches(salt, batch_format="pandas")
-
-
-def salted_map_groups(
-    ds: Dataset,
-    key: str,
-    group_fn,
-    *,
-    hot_keys: list[str],
-    factor: int = 8,
-    batch_format: str = "pandas",
-    id_cols: list[str] | None = None,
-) -> Dataset:
-    """``groupby(key).map_groups(fn)`` with hot keys split into ``factor``
-    salted sub-groups.  ``group_fn`` must be mergeable (applied per
-    sub-group; caller merges per-key partials if needed)."""
-    salted = add_salt(ds, key, hot_keys, factor=factor, id_cols=id_cols)
-    return salted.groupby([key, "salt"]).map_groups(group_fn, batch_format=batch_format)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 import ray.data as rd
 
 from scheduler_ray.stages import skew
+from scheduler_ray.stages.segments import sorted_map_groups
 
 
 def _skewed():
@@ -31,11 +33,14 @@ def test_salting_flattens_groups():
 
 
 def test_salted_map_groups_counts():
-    ds = _skewed()
+    """Grouping add_salt's output on [key, salt] through sorted_map_groups
+    splits the hot key and keeps every row."""
+    ds = skew.add_salt(_skewed(), "k", ["hot"], factor=4)
 
-    def count(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"k": [g["k"].iloc[0]], "n": [len(g)]})
+    def count(g: pa.Table) -> pa.Table:
+        return pa.table({"k": [g["k"][0].as_py()], "n": [g.num_rows]})
 
-    out = skew.salted_map_groups(ds, "k", count, hot_keys=["hot"], factor=4).to_pandas()
+    out = sorted_map_groups(ds, ["k", "salt"], count).to_pandas()
+    assert (out["k"] == "hot").sum() == 4
     merged = out.groupby("k")["n"].sum()
     assert merged["hot"] == 900 and merged.drop("hot").sum() == 100

@@ -7,8 +7,9 @@ graph per source, reference release_graph_generator.py:31-83).  Flow:
 1. cheap metadata pass over pages (urls only — column-pruned read):
    per-source row count + order-insensitive 64-bit input hash;
 2. compare against stored manifests → pending partitions;
-3. run the flagship pipeline on ONLY the pending pages (broadcast
-   source-set filter — a semi-join, no shuffle);
+3. run the flagship pipeline on ONLY the pending pages: an Arrow filter
+   of each page batch on its derived ``source`` (``pc.is_in`` over the
+   pending set; no shuffle, page schema unchanged);
 4. write ``data/graph=<source>/`` per pending source (tmp + dir swap),
    then the manifest (atomic, last) with
    {input_hash, rows_in, triples_out, content_hash}.
@@ -16,7 +17,10 @@ graph per source, reference release_graph_generator.py:31-83).  Flow:
 Both hashes are order-insensitive sums of per-row 32-bit hashes: an
 Arrow projection adds each row's hash and a ones column, and
 ``segments.sorted_agg_by`` sums them per source, so reruns of unchanged
-input compare equal without sorting the rows themselves.
+input compare equal without sorting the rows themselves.  With one
+partial row per (block, source), both sums stay under
+``sorted_agg_by``'s bounded-finish cap: one task re-aggregates them and
+no range sort runs.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import shutil
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 from ray.data import Dataset
 
@@ -100,13 +104,12 @@ def run_checkpointed(
 
     registry, sources = flagship.load_side_tables(fixture_dir)
     pages = flagship.read_pages(fixture_dir)
-    pending_ref = ray.put(set(pending))
+    pending_set = pa.array(pending)
 
-    def only_pending(b: pd.DataFrame) -> pd.DataFrame:
-        srcs = b["url"].str.extract(r"^https://[^/]+/([^/]+)/", expand=False)
-        return b[srcs.isin(ray.get(pending_ref))]
+    def only_pending(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(derive_source_batch(b)["source"], value_set=pending_set))
 
-    pages = pages.map_batches(only_pending, batch_format="pandas")
+    pages = pages.map_batches(only_pending, batch_format="pyarrow", batch_size=None)
     canon = flagship.canonical_triples(
         pages, registry, sources, cfg,
         index_cache_path=f"{fixture_dir}/{INDEX_CACHE_NAME}",

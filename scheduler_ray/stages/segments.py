@@ -23,7 +23,14 @@ operator (prefix sum, lag) ignores ``drops_tail`` and offsets its head
 run by the carry.  This is FP-Hadoop's associative combine of small
 per-partition partials in place of a second exchange.  The driver holds
 only ObjectRefs; :func:`scan_tables` runs the same kernels sequentially
-over a list of tables, which is how the tests fuzz block layouts.
+over a list of tables, which is how the tests fuzz block layouts.  A
+null in a sort column raises ``ValueError`` naming the columns.
+
+:func:`sorted_agg_by` has a second, bounded-key finish: when its
+per-block partials total at most :data:`BOUNDED_FINISH_ROWS` rows (read
+from block metadata), ONE task re-aggregates them with the kernel's
+``apply`` and returns them key-sorted, with no range sort; larger
+partials go through :func:`segment_scan`.
 """
 
 from __future__ import annotations
@@ -43,6 +50,17 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables, promote_options="permissive")
 
 
+def _blocks(m: Dataset) -> "list[tuple]":
+    """``(ref, num_rows)`` of every block of the materialized ``m``, read
+    from block metadata on the driver (no block bytes are fetched);
+    ``num_rows`` is None when the metadata does not know it."""
+    return [
+        (ref, meta.num_rows)
+        for b in m.iter_internal_ref_bundles()
+        for ref, meta in zip(b.block_refs, b.metadata)
+    ]
+
+
 def _drop_empty_blocks(ds: Dataset) -> Dataset:
     """Rebuild a dataset from its non-empty block refs (metadata-only on
     the driver — no block bytes are fetched).
@@ -57,13 +75,9 @@ def _drop_empty_blocks(ds: Dataset) -> Dataset:
     import ray.data as rd
 
     m = ds.materialize()
-    refs, total = [], 0
-    for b in m.iter_internal_ref_bundles():
-        for ref, meta in zip(b.block_refs, b.metadata):
-            total += 1
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
-    if not refs or len(refs) == total:
+    blocks = _blocks(m)
+    refs = [ref for ref, n in blocks if n != 0]
+    if not refs or len(refs) == len(blocks):
         return m
     return rd.from_arrow_refs(refs)
 
@@ -130,9 +144,21 @@ def _arrow(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
+def _null_keys(keys: "list[str]") -> ValueError:
+    return ValueError(
+        f"null in sort key column(s) {keys}: a range sort cannot order a "
+        "null against a value; drop or fill those rows first"
+    )
+
+
 @ray.remote
 def _summarize_task(block, keys, summarize):
-    return _summary(_arrow(block), keys, summarize)
+    t = _arrow(block)
+    # null_count is array metadata: a check, not a pass over the rows.
+    # It catches the nulls a sort with one output range let through.
+    if t.num_rows and any(t[k].null_count for k in keys):
+        raise _null_keys(keys)
+    return _summary(t, keys, summarize)
 
 
 @ray.remote
@@ -150,8 +176,18 @@ def _apply_task(block, carry, apply):
 def segment_scan(ds: Dataset, keys: "list[str]", kernel, *, order: "list[str]" = ()) -> Dataset:
     """Range-sort ``ds`` on ``keys`` (then ``order``) and run ``kernel``
     = ``(summarize, combine, apply)`` over its key runs (module
-    docstring).  Empty output blocks are dropped."""
-    return scan_sorted(_drop_empty_blocks(ds.sort([*keys, *order])), keys, kernel)
+    docstring).  Empty output blocks are dropped.  A null in a sort
+    column raises ``ValueError``."""
+    cols = [*keys, *order]
+    try:
+        srt = _drop_empty_blocks(ds.sort(cols))
+    except TypeError as e:
+        # Ray's sort map compares each block's keys with the sampled
+        # range boundaries; a null key fails that comparison
+        if "NoneType" not in str(e):
+            raise
+        raise _null_keys(cols) from e
+    return scan_sorted(srt, keys, kernel)
 
 
 def scan_sorted(srt: Dataset, keys: "list[str]", kernel) -> Dataset:
@@ -177,12 +213,14 @@ def agg_kernel(keys: "list[str]", aggs: "dict[str, str]"):
     DISTINCT): a partial is the one-row aggregate of a run, and partials
     re-aggregate exactly because the three are associative."""
     cols = [*keys, *aggs]
+    order = [(k, "ascending") for k in keys]
 
     def partial(t: pa.Table) -> pa.Table:
-        # single-threaded: groups come out in first-appearance (= sorted)
-        # order, so the head run is row 0 and the tail run the last row
+        # key-sorted, so the head run is row 0 and the tail run the last
+        # row: Arrow's hash grouper does not keep first-appearance order
+        # for every key type (it reorders composite string/int keys)
         g = pa.TableGroupBy(t.select(cols), keys, use_threads=False)
-        return g.aggregate(list(aggs.items())).rename_columns(cols)
+        return g.aggregate(list(aggs.items())).rename_columns(cols).sort_by(order)
 
     def summarize(t: pa.Table) -> pa.Table:
         g = partial(t)
@@ -225,6 +263,21 @@ def map_groups_kernel(keys: "list[str]", fn):
 
 
 # ----------------------------------------------------------- operators
+#: ``sorted_agg_by``'s size gate, in partial rows.  On one CPU the one-task
+#: finish beat the range sort at every size measured (10^3..4*10^6 rows);
+#: the sort costs ~0.35 s more fixed and the finish 1-1.5 us a row, so
+#: even a sort split perfectly over many CPUs cannot win below ~2.6*10^5
+#: rows.  The cap sits under that and keeps one task's input small.
+BOUNDED_FINISH_ROWS = 250_000
+
+
+@ray.remote
+def _finish_task(apply, *blocks):
+    """The bounded-key finish: every partial in one table, re-aggregated
+    (and so key-sorted) by the kernel's own ``apply``."""
+    return apply(_concat([_arrow(b) for b in blocks]), None, False)
+
+
 def sorted_agg_by(
     ds: Dataset, key: "str | list[str]", aggs: "dict[str, str]"
 ) -> Dataset:
@@ -244,27 +297,41 @@ def sorted_agg_by(
     Ray's ``groupby(...).min(...)`` reduce runs per-group PYTHON
     accumulators — measured ~165 s for 400k rows / 150k groups on 8
     cpus, which made the distributed-CC loop unusable at scale.  Here a
-    per-block pyarrow hash aggregate (the combiner) shrinks each block
-    before the range sort, and :func:`segment_scan` re-aggregates each
-    sorted block, carrying a straddling key's partial into its last
-    block.  Blocks stay Arrow end to end (blocks of Python string
-    objects pickle them across the shuffle — measured ~10× slower).
+    per-block pyarrow hash aggregate (the combiner) shrinks each block,
+    and one of two finishes re-aggregates the partials:
 
-    Returns a Dataset with columns ``(*keys, *aggs)``.
+    * at most :data:`BOUNDED_FINISH_ROWS` partial rows (block metadata):
+      one ``_finish_task`` over all of them, so a few keys per block
+      (the per-source checkpoint hashes) never pay for a range sort;
+    * more: :func:`segment_scan` range-sorts them and re-aggregates each
+      sorted block, carrying a straddling key's partial into its last
+      block.
+
+    Blocks stay Arrow end to end (blocks of Python string objects pickle
+    them across the shuffle — measured ~10× slower).
+
+    Returns a Dataset with columns ``(*keys, *aggs)`` in ascending key
+    order (across its blocks, in block order).
     """
+    import ray.data as rd
+
     keys = [key] if isinstance(key, str) else list(key)
     kernel = agg_kernel(keys, aggs)
     apply = kernel[2]
     valid = functools.reduce(operator.and_, [pc.field(k).is_valid() for k in keys])
-    part = _drop_empty_blocks(
-        ds.map_batches(
-            lambda t: apply(t.filter(valid), None, False),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-    )
-    return segment_scan(part, keys, kernel)
+    part = ds.map_batches(
+        lambda t: apply(t.filter(valid), None, False),
+        batch_format="pyarrow",
+        batch_size=None,
+        zero_copy_batch=True,
+    ).materialize()
+    blocks = [(ref, n) for ref, n in _blocks(part) if n != 0]
+    if not blocks:
+        return part
+    refs, sizes = map(list, zip(*blocks))
+    if None not in sizes and sum(sizes) <= BOUNDED_FINISH_ROWS:
+        return rd.from_arrow_refs([_finish_task.remote(apply, *refs)])
+    return segment_scan(rd.from_arrow_refs(refs), keys, kernel)
 
 
 def sorted_map_groups(ds: Dataset, keys: "list[str]", fn) -> Dataset:

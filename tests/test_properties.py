@@ -332,6 +332,24 @@ def test_agg_kernel_matches_pandas_any_layout(keys, cuts, rnd):
 
 @settings(max_examples=200, deadline=None)
 @given(_key_st, _cuts_st, st.randoms())
+def test_agg_kernel_composite_keys_any_layout(keys, cuts, rnd):
+    """A composite (string, int) key, whose groups Arrow's hash grouper
+    can emit out of first-appearance order: every block's output stays
+    key-sorted and each key is emitted once, with the pandas sum."""
+    import pandas as pd
+
+    from scheduler_ray.stages.segments import agg_kernel
+
+    df = pd.DataFrame(
+        {"k": keys, "j": [rnd.randint(0, 2) for _ in keys], "v": [rnd.randint(-50, 50) for _ in keys]}
+    ).sort_values(["k", "j"])
+    got = _scan(df, cuts, ["k", "j"], agg_kernel(["k", "j"], {"v": "sum"}))
+    want = df.groupby(["k", "j"], as_index=False)["v"].sum()
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_st, _cuts_st, st.randoms())
 @example(*_ONE_KEY)
 def test_map_groups_kernel_calls_fn_once_per_group(keys, cuts, rnd):
     import pandas as pd

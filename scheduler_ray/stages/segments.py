@@ -29,8 +29,9 @@ null in a sort column raises ``ValueError`` naming the columns.
 :func:`sorted_agg_by` has a second, bounded-key finish: when its
 per-block partials total at most :data:`BOUNDED_FINISH_ROWS` rows (read
 from block metadata), ONE task re-aggregates them with the kernel's
-``apply`` and returns them key-sorted, with no range sort; larger
-partials go through :func:`segment_scan`.
+``apply`` and returns them key-sorted, with no range sort, cut back into
+about as many blocks as the partials had; larger partials go through
+:func:`segment_scan`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data import Dataset
+from ray.data import Dataset, DataContext
 from ray.data.block import BlockAccessor
 
 
@@ -51,11 +52,11 @@ def _concat(tables: list[pa.Table]) -> pa.Table:
 
 
 def _blocks(m: Dataset) -> "list[tuple]":
-    """``(ref, num_rows)`` of every block of the materialized ``m``, read
-    from block metadata on the driver (no block bytes are fetched);
-    ``num_rows`` is None when the metadata does not know it."""
+    """``(ref, metadata)`` of every block of the materialized ``m``, read
+    on the driver (no block bytes are fetched); ``num_rows`` and
+    ``size_bytes`` are None when the metadata does not know them."""
     return [
-        (ref, meta.num_rows)
+        (ref, meta)
         for b in m.iter_internal_ref_bundles()
         for ref, meta in zip(b.block_refs, b.metadata)
     ]
@@ -76,7 +77,7 @@ def _drop_empty_blocks(ds: Dataset) -> Dataset:
 
     m = ds.materialize()
     blocks = _blocks(m)
-    refs = [ref for ref, n in blocks if n != 0]
+    refs = [ref for ref, meta in blocks if meta.num_rows != 0]
     if not refs or len(refs) == len(blocks):
         return m
     return rd.from_arrow_refs(refs)
@@ -152,12 +153,12 @@ def _null_keys(keys: "list[str]") -> ValueError:
 
 
 @ray.remote
-def _summarize_task(block, keys, summarize):
+def _summarize_task(block, keys, cols, summarize):
     t = _arrow(block)
     # null_count is array metadata: a check, not a pass over the rows.
     # It catches the nulls a sort with one output range let through.
-    if t.num_rows and any(t[k].null_count for k in keys):
-        raise _null_keys(keys)
+    if t.num_rows and any(t[c].null_count for c in cols):
+        raise _null_keys(cols)
     return _summary(t, keys, summarize)
 
 
@@ -187,19 +188,21 @@ def segment_scan(ds: Dataset, keys: "list[str]", kernel, *, order: "list[str]" =
         if "NoneType" not in str(e):
             raise
         raise _null_keys(cols) from e
-    return scan_sorted(srt, keys, kernel)
+    return scan_sorted(srt, keys, kernel, order=order)
 
 
-def scan_sorted(srt: Dataset, keys: "list[str]", kernel) -> Dataset:
+def scan_sorted(srt: Dataset, keys: "list[str]", kernel, *, order: "list[str]" = ()) -> Dataset:
     """Steps 2-4 of :func:`segment_scan` over a materialized dataset
-    whose block order is already its sort order."""
+    whose block order is already its sort order (``keys``, then
+    ``order``).  A null in any of those columns raises ``ValueError``."""
     import ray.data as rd
 
     summarize, combine, apply = kernel
     blocks = srt.to_arrow_refs()
     if not blocks:
         return srt
-    sums = [_summarize_task.remote(b, keys, summarize) for b in blocks]
+    cols = [*keys, *order]
+    sums = [_summarize_task.remote(b, keys, cols, summarize) for b in blocks]
     carries = _scan_task.options(num_returns=len(sums)).remote(combine, *sums)
     if len(sums) == 1:
         carries = [carries]
@@ -264,18 +267,23 @@ def map_groups_kernel(keys: "list[str]", fn):
 
 # ----------------------------------------------------------- operators
 #: ``sorted_agg_by``'s size gate, in partial rows.  On one CPU the one-task
-#: finish beat the range sort at every size measured (10^3..4*10^6 rows);
-#: the sort costs ~0.35 s more fixed and the finish 1-1.5 us a row, so
-#: even a sort split perfectly over many CPUs cannot win below ~2.6*10^5
-#: rows.  The cap sits under that and keeps one task's input small.
+#: finish beats the range sort at every size (measured to 4*10^6 rows).
+#: On four, in the distributed-CC loop, it is even with the sort at
+#: 0.5-2*10^5 rows a call and 4% behind at 2-8*10^5: the sort's reduce
+#: spreads over the CPUs, the finish does not.  The cap sits at the low
+#: end of that crossover.
 BOUNDED_FINISH_ROWS = 250_000
 
 
 @ray.remote
-def _finish_task(apply, *blocks):
+def _finish_task(apply, n, *blocks):
     """The bounded-key finish: every partial in one table, re-aggregated
-    (and so key-sorted) by the kernel's own ``apply``."""
-    return apply(_concat([_arrow(b) for b in blocks]), None, False)
+    (and so key-sorted) by the kernel's own ``apply``, returned as ``n``
+    contiguous slices so that later stages still get one task a block."""
+    t = apply(_concat([_arrow(b) for b in blocks]), None, False)
+    cuts = [t.num_rows * i // n for i in range(n + 1)]
+    out = [t.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+    return out if n > 1 else out[0]
 
 
 def sorted_agg_by(
@@ -302,7 +310,10 @@ def sorted_agg_by(
 
     * at most :data:`BOUNDED_FINISH_ROWS` partial rows (block metadata):
       one ``_finish_task`` over all of them, so a few keys per block
-      (the per-source checkpoint hashes) never pay for a range sort;
+      (the per-source checkpoint hashes) never pay for a range sort.
+      Its output comes back in as many blocks as the partials had, but
+      at most one per ``target_min_block_size`` (Ray Data's, 1 MiB) of
+      partial bytes;
     * more: :func:`segment_scan` range-sorts them and re-aggregates each
       sorted block, carrying a straddling key's partial into its last
       block.
@@ -325,12 +336,16 @@ def sorted_agg_by(
         batch_size=None,
         zero_copy_batch=True,
     ).materialize()
-    blocks = [(ref, n) for ref, n in _blocks(part) if n != 0]
+    blocks = [(ref, meta) for ref, meta in _blocks(part) if meta.num_rows != 0]
     if not blocks:
         return part
-    refs, sizes = map(list, zip(*blocks))
-    if None not in sizes and sum(sizes) <= BOUNDED_FINISH_ROWS:
-        return rd.from_arrow_refs([_finish_task.remote(apply, *refs)])
+    refs, metas = map(list, zip(*blocks))
+    rows = [m.num_rows for m in metas]
+    if None not in rows and sum(rows) <= BOUNDED_FINISH_ROWS:
+        nbytes = sum(m.size_bytes or 0 for m in metas)
+        n = max(1, min(len(refs), nbytes // DataContext.get_current().target_min_block_size))
+        out = rd.from_arrow_refs(_finish_task.options(num_returns=n).remote(apply, n, *refs))
+        return _drop_empty_blocks(out) if n > 1 else out
     return segment_scan(rd.from_arrow_refs(refs), keys, kernel)
 
 

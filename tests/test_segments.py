@@ -9,6 +9,7 @@ import pyarrow as pa
 import pytest
 
 import ray.data as rd
+from ray.data import DataContext
 
 from scheduler_ray.stages import relational as rel
 from scheduler_ray.stages import segments
@@ -81,6 +82,28 @@ def test_bounded_finish_matches_range_sort(case, monkeypatch):
         assert out.take_all() == want, bound
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bounded_finish_splits_output(case, monkeypatch):
+    """With no minimum block size the finish returns one block per
+    non-empty partial block, in key order across the blocks."""
+    keys, aggs, composite, nulls = CASES[case]
+    blocks = _blocks(sum(map(ord, case)), composite, nulls)
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", 1)
+    out = segments.sorted_agg_by(rd.from_arrow(blocks).materialize(), keys, aggs).materialize()
+    assert out.num_blocks() == 3
+    assert out.take_all() == _expected(blocks, keys, aggs)
+
+
+def test_bounded_finish_split_drops_empty_slices(monkeypatch):
+    """One key in three blocks: one output row, so two of the three
+    slices are empty and are dropped."""
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", 1)
+    ds = rd.from_arrow([pa.table({"k": ["a"] * n, "v": list(range(n))}) for n in (3, 1, 2)])
+    out = segments.sorted_agg_by(ds, "k", {"v": "max"}).materialize()
+    assert out.num_blocks() == 1
+    assert out.take_all() == [{"k": "a", "v": 2}]
+
+
 @pytest.mark.parametrize("bound", [0, 10**6])
 def test_bounded_finish_all_empty_input(bound, monkeypatch):
     """Every key null: no partial rows reach either finish."""
@@ -89,16 +112,19 @@ def test_bounded_finish_all_empty_input(bound, monkeypatch):
     assert segments.sorted_agg_by(ds, "k", {"v": "sum"}).take_all() == []
 
 
-def _null_keyed(n_blocks: int) -> rd.Dataset:
+def _null_keyed(n_blocks: int, null_col: str = "k") -> rd.Dataset:
+    """``n_blocks`` blocks of 40 rows; every fifth ``null_col`` value null."""
     rng = np.random.default_rng(3)
     tables = []
     for b in range(n_blocks):
-        k = [None if i % 5 == 2 else f"u{i % 7}" for i in range(b, b + 40)]
+        rows = range(b, b + 40)
+        k = [None if null_col == "k" and i % 5 == 2 else f"u{i % 7}" for i in rows]
+        ts = [None if null_col == "ts" and i % 5 == 2 else b * 39 + i for i in rows]
         tables.append(
             pa.table(
                 {
                     "k": pa.array(k, pa.string()),
-                    "ts": pa.array(np.arange(b * 40, b * 40 + 40), pa.int64()),
+                    "ts": pa.array(ts, pa.int64()),
                     "v": pa.array(rng.integers(0, 9, 40), pa.int64()),
                 }
             )
@@ -122,3 +148,12 @@ def test_null_sort_key_raises_value_error(op, n_blocks):
     block: the sort has one range, and the scan's null check meets it."""
     with pytest.raises(ValueError, match=r"null in sort key column\(s\) \['k'"):
         NULL_KEY_OPS[op](_null_keyed(n_blocks)).materialize()
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])
+@pytest.mark.parametrize("op", ["group_prefix_sum", "lag_per_group", "sessionize"])
+def test_null_order_column_raises_value_error(op, n_blocks):
+    """A null in the ``order`` column, not the key, of the three operators
+    that sort on one: the same error, naming both sort columns."""
+    with pytest.raises(ValueError, match=r"null in sort key column\(s\) \['k', 'ts'\]"):
+        NULL_KEY_OPS[op](_null_keyed(n_blocks, "ts")).materialize()

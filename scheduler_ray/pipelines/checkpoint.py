@@ -4,29 +4,32 @@ manifests + metrics; resume skips unchanged partitions).
 Partition unit = source (the reference's sitemap partition — one release
 graph per source, reference release_graph_generator.py:31-83).  Flow:
 
-1. cheap metadata pass over pages (urls only — column-pruned read):
+1. cheap metadata pass over pages (url + html — column-pruned read):
    per-source row count + order-insensitive 64-bit input hash;
 2. compare against stored manifests → pending partitions;
 3. run the flagship pipeline on ONLY the pending pages: an Arrow filter
    of each page batch on its derived ``source`` (``pc.is_in`` over the
    pending set; no shuffle, page schema unchanged);
-4. write ``data/graph=<source>/`` per pending source (tmp + dir swap),
-   then the manifest (atomic, last) with
-   {input_hash, rows_in, triples_out, content_hash}.
+4. commit in ONE pass over the canonical triples: each block writes its
+   rows of each source to a content-named
+   ``data/graph=<source>/part-<stem>.parquet`` beside the source's old
+   files and hashes them; then, per pending source, the manifest
+   (atomic, last) with {input_hash, rows_in, triples_out, content_hash,
+   files}, and only after it the deletion of the source's unlisted
+   files.  A crash anywhere leaves each source's old manifest and old
+   files, or its new ones: :func:`read_output` reads only listed files.
 
-Both hashes are order-insensitive sums of per-row 32-bit hashes: an
-Arrow projection adds each row's hash and a ones column, and
-``segments.sorted_agg_by`` sums them per source, so reruns of unchanged
-input compare equal without sorting the rows themselves.  With one
-partial row per (block, source), both sums stay under
-``sorted_agg_by``'s bounded-finish cap: one task re-aggregates them and
-no range sort runs.
+Both hashes are order-insensitive sums of per-row 32-bit hashes, so
+reruns of unchanged input compare equal without sorting the rows.  Each
+block emits one ``(key, n, hash_sum)`` partial row per source, summed
+by ``segments.agg_kernel``'s ``apply``; the driver streams the partials
+back and finishes them with the same ``apply``: no exchange runs.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
+from urllib.parse import quote
 
 import numpy as np
 import pandas as pd
@@ -39,9 +42,11 @@ from ray.data import Dataset
 from ..config import PipelineConfig
 from ..stages.extract import derive_source_batch
 from ..stages.link import INDEX_CACHE_NAME
-from ..stages.segments import sorted_agg_by
+from ..stages.segments import agg_kernel
 from ..state import manifest as mf
+from ..state.fs import LocalFS
 from . import flagship
+from .streaming import _content_stem
 
 
 def _hash_col(a: pa.ChunkedArray) -> np.ndarray:
@@ -51,12 +56,38 @@ def _hash_col(a: pa.ChunkedArray) -> np.ndarray:
     return (h & np.uint64(0xFFFFFFFF)).astype(np.int64)
 
 
-def _hash_sums(ds: Dataset, key: str, project) -> dict:
-    """``{key value: (n, hash_sum)}``: per-key sums of the ``n`` and
-    ``hash_sum`` columns that ``project`` derives (empty for no rows)."""
-    parts = ds.map_batches(project, batch_format="pyarrow")
-    sums = sorted_agg_by(parts, key, {"n": "sum", "hash_sum": "sum"})
-    return {r[key]: (r["n"], r["hash_sum"]) for r in sums.take_all()}
+def _sums(key: str, t: pa.Table) -> pa.Table:
+    """``(key, n, hash_sum)`` per non-null ``key``, key-sorted: the sums
+    of ``t``'s ``n`` and ``hash_sum`` columns by ``agg_kernel``'s
+    ``apply``, run on each block and again on the driver."""
+    apply = agg_kernel([key], {"n": "sum", "hash_sum": "sum"})[2]
+    return apply(t.filter(pc.is_valid(t[key])), None, False)
+
+
+def _fold(parts, key: str) -> dict:
+    """``{key value: (n, hash_sum)}``: the driver's finish of per-block
+    partials.  Empty blocks (zero-column ones, which a map passes through
+    without calling its function, included) are skipped."""
+    parts = [p.select([key, "n", "hash_sum"]) for p in parts if p.num_rows]
+    if not parts:
+        return {}
+    t = _sums(key, pa.concat_tables(parts))
+    return {k: (n, h) for k, n, h in zip(*(t[c].to_pylist() for c in (key, "n", "hash_sum")))}
+
+
+def _streamed(ds: Dataset, fn, *args):
+    """Stream ``fn(block, *args)`` over ``ds``'s whole blocks back to the
+    driver."""
+    out = ds.map_batches(
+        fn, fn_args=args, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+    return out.iter_batches(batch_size=None, batch_format="pyarrow")
+
+
+def _scan_block(t: pa.Table) -> pa.Table:
+    t = derive_source_batch(t)
+    h = (_hash_col(t["url"]) ^ (_hash_col(t["html"]) << 1)) & 0xFFFFFFFF
+    return _sums("source", pa.table({"source": t["source"], "hash_sum": h, "n": np.ones_like(h)}))
 
 
 def input_summary(fixture_dir: str) -> pd.DataFrame:
@@ -66,21 +97,31 @@ def input_summary(fixture_dir: str) -> pd.DataFrame:
     set, so a re-crawl that changes a page body under an unchanged url
     invalidates the partition — true ``.bytesum`` content-hash semantics
     (reference userCode/defs_test.py:86-98), per ADVICE r1.  A page whose
-    url yields no source belongs to no partition: ``sorted_agg_by``
-    drops its null key.
+    url yields no source belongs to no partition.
     """
     pages = rd.read_parquet(f"{fixture_dir}/pages", columns=["url", "html"])
-
-    def project(t: pa.Table) -> pa.Table:
-        t = derive_source_batch(t)
-        h = (_hash_col(t["url"]) ^ (_hash_col(t["html"]) << 1)) & 0xFFFFFFFF
-        return pa.table({"source": t["source"], "hash_sum": h, "n": np.ones_like(h)})
-
-    sums = _hash_sums(pages, "source", project)
+    sums = _fold(_streamed(pages, _scan_block), "source")
     return pd.DataFrame(
         [(src, n, str(h)) for src, (n, h) in sums.items()],
         columns=["source", "n_pages", "input_hash"],
     ).astype({"n_pages": "int64"})
+
+
+def _commit_block(t: pa.Table, data_dir: str) -> pa.Table:
+    """Write each source's rows of the block to a content-named file in
+    its hive dir (through ``LocalFS``: tmp + rename) and return their
+    ``(graph, n, hash_sum, file)`` partials, ``file`` relative to
+    ``data_dir``."""
+    h = (
+        _hash_col(t["subj"]) ^ (_hash_col(t["pred"]) << 1) ^ (_hash_col(t["obj"]) << 2)
+    ) & 0xFFFFFFFF
+    part = _sums("graph", pa.table({"graph": t["graph"], "hash_sum": h, "n": np.ones_like(h)}))
+    files = []
+    for g in part["graph"].to_pylist():
+        rows = t.filter(pc.equal(t["graph"], g))
+        files.append(f"graph={quote(g, safe='')}/part-{_content_stem(rows)}.parquet")
+        LocalFS().put_table(rows.drop_columns(["graph"]), os.path.join(data_dir, files[-1]))
+    return part.append_column("file", pa.array(files, pa.string()))
 
 
 def run_checkpointed(
@@ -102,7 +143,7 @@ def run_checkpointed(
     if not pending:
         return {"completed": [], "skipped": sorted(done), "failed": []}
 
-    registry, sources = flagship.load_side_tables(fixture_dir)
+    registry, sources = flagship.link_tables(fixture_dir)
     pages = flagship.read_pages(fixture_dir)
     pending_set = pa.array(pending)
 
@@ -114,34 +155,26 @@ def run_checkpointed(
         pages, registry, sources, cfg,
         index_cache_path=f"{fixture_dir}/{INDEX_CACHE_NAME}",
     )
-
-    # per-partition triple count + content hash (the triple set itself is
-    # not shuffled); a source with no triples has no row here
-    def project(t: pa.Table) -> pa.Table:
-        h = (
-            _hash_col(t["subj"]) ^ (_hash_col(t["pred"]) << 1) ^ (_hash_col(t["obj"]) << 2)
-        ) & 0xFFFFFFFF
-        return pa.table({"graph": t["graph"], "hash_sum": h, "n": np.ones_like(h)})
-
-    canon = canon.materialize()
-    stats = _hash_sums(canon, "graph", project)
-
-    # partitioned write DIRECTLY into the hive layout — no staging dir and
-    # no driver-side per-partition rename (round-2 verdict item 7: object
-    # stores have no rename).  Atomicity comes from the manifest protocol:
-    # a partition is live only once its manifest (written LAST) matches
-    # the input hash; on resume, pending partitions are cleared first, so
-    # a crash mid-write leaves invisible garbage, never a torn commit.
+    # the per-source files, triple counts and content hashes in one pass
     data_dir = os.path.join(out_dir, "data")
-    for src in pending:
-        shutil.rmtree(os.path.join(data_dir, f"graph={src}"), ignore_errors=True)
-    canon.write_parquet(data_dir, partition_cols=["graph"])
+    parts = [p for p in _streamed(canon, _commit_block, data_dir) if p.num_rows]
+    if parts:
+        # blocks of equal content write one file and equal partials: count
+        # it once.  Unequal partials under one name mean a stem collision
+        parts = [pa.concat_tables(parts).group_by(parts[0].column_names).aggregate([])]
+        if len(set(parts[0]["file"].to_pylist())) < parts[0].num_rows:
+            raise RuntimeError("two different triple sets share a content-named file")
+    stats = _fold(parts, "graph")
+    files: dict[str, list[str]] = {}
+    for p in parts:
+        for g, f in zip(p["graph"].to_pylist(), p["file"].to_pylist()):
+            files.setdefault(g, []).append(f)
     completed = []
     for src in pending:
         # a source whose pages all had no/invalid JSON-LD still completes
-        # — with zero triples (exit-3-non-fatal semantics)
-        os.makedirs(os.path.join(data_dir, f"graph={src}"), exist_ok=True)
+        # — with zero triples and no files (exit-3-non-fatal semantics)
         n, h = stats.get(src, (0, 0))
+        live = sorted(files.get(src, []))
         mf.write_manifest(
             out_dir,
             src,
@@ -150,15 +183,21 @@ def run_checkpointed(
                 "rows_in": int(rows_in[src]),
                 "triples_out": int(n),
                 "content_hash": str(h),
+                "files": live,
             },
         )
+        # only now are the source's superseded (or crashed-run) files gone
+        gdir = f"graph={quote(src, safe='')}"
+        for f in LocalFS().list(os.path.join(data_dir, gdir), suffix=".parquet"):
+            if f"{gdir}/{os.path.basename(f)}" not in live:
+                os.remove(f)
         completed.append(src)
     return {"completed": completed, "skipped": sorted(done), "failed": []}
 
 
 def committed_sources(out_dir: str) -> set[str]:
-    """Partitions with a committed manifest (sanitized ids — the hive dir
-    label under ``data/graph=``)."""
+    """Partitions with a committed manifest (sanitized ids — the
+    manifest file names)."""
     mdir = os.path.join(out_dir, "manifests")
     if not os.path.isdir(mdir):
         return set()
@@ -166,31 +205,21 @@ def committed_sources(out_dir: str) -> set[str]:
 
 
 def read_output(out_dir: str) -> Dataset:
-    """Manifest-gated read (round-3 advice): only partitions with a
-    committed manifest are read, so a crash mid-``write_parquet`` (partial
-    partition dirs in ``data/`` with no manifest yet) is invisible to
-    readers, matching the write protocol's "manifest last" commit point.
-    Reading ``data/`` directly with ``rd.read_parquet`` bypasses this
-    gate and may see uncommitted garbage.
-
-    Fast path: when every ``graph=`` dir is committed (the steady state)
-    this is a plain hive read.  Otherwise only the committed partitions'
-    files are read (Ray applies hive partitioning to explicit file paths
-    too, so the ``graph`` column is preserved either way)."""
+    """Manifest-gated read: exactly the files the committed manifests
+    list, with the ``graph`` column from their hive dirs.  Files a
+    rebuild writes beside a source's listed ones, before its manifest
+    moves, are invisible; so is any other unlisted file (a stray
+    ``graph=`` dir, garbage of a crashed run) and a manifest written
+    before manifests listed files, until its source is rebuilt.  Reading
+    ``data/`` directly with ``rd.read_parquet`` bypasses this gate."""
     data_dir = os.path.join(out_dir, "data")
-    live = committed_sources(out_dir)
-    gdirs = [d for d in sorted(os.listdir(data_dir)) if d.startswith("graph=")]
-    stale = {
-        d for d in gdirs if mf.sanitize_partition_id(d[len("graph="):]) not in live
-    }
-    if not live or not stale:
-        return rd.read_parquet(data_dir)
-    files = []
-    for d in gdirs:
-        if d in stale:
-            continue
-        p = os.path.join(data_dir, d)
-        files += [
-            os.path.join(p, f) for f in sorted(os.listdir(p)) if f.endswith(".parquet")
-        ]
+    files = [
+        os.path.join(data_dir, f)
+        for src in sorted(committed_sources(out_dir))
+        for f in mf.load_manifest(out_dir, src).get("files", [])
+    ]
+    if not files:
+        from ..stages.expand import TRIPLE_SCHEMA
+
+        return rd.from_arrow(TRIPLE_SCHEMA.empty_table())
     return rd.read_parquet(files)

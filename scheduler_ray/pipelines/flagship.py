@@ -31,6 +31,8 @@ CC + two partitioned joins).
 
 from __future__ import annotations
 
+import os
+
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -122,6 +124,15 @@ def load_sources_only(fixture_dir: str) -> pd.DataFrame:
     return pq.read_table(f"{fixture_dir}/sources.parquet").to_pandas()
 
 
+def link_tables(fixture_dir: str) -> "tuple[str | pd.DataFrame, pd.DataFrame]":
+    """``(registry, sources)`` for ``link_stage``: with a warm index cache
+    the (possibly huge) registry frame is never loaded — the registry's
+    parquet path goes straight to the cache check."""
+    if os.path.exists(f"{fixture_dir}/{INDEX_CACHE_NAME}"):
+        return f"{fixture_dir}/registry.parquet", load_sources_only(fixture_dir)
+    return load_side_tables(fixture_dir)
+
+
 def read_graph(out_dir: str, fs=None) -> Dataset:
     """Read a written graph back with the exact TRIPLE_SCHEMA dtypes (hive
     partition columns come back as plain string — recast).
@@ -138,8 +149,6 @@ def read_graph(out_dir: str, fs=None) -> Dataset:
     ``FsspecFS`` routes the parquet reads through the corresponding
     pyarrow filesystem — the full write→commit→read round trip runs on
     a pure object store with no local-path assumption."""
-    import os
-
     from ..stages.expand import TRIPLE_SCHEMA
     from ..state.fs import FsspecFS, LocalFS, read_commit_manifest
 
@@ -247,17 +256,9 @@ def run_flagship(
     ``index_ref``: an already-broadcast ``RegistryIndex`` ObjectRef (ST1
     steady state — see link_stage); skips the per-job index load/put.
     """
-    import os
-
     cfg = (cfg or PipelineConfig()).validate()
     cache = f"{fixture_dir}/{INDEX_CACHE_NAME}"
-    # with a warm index cache the (possibly huge) registry frame is never
-    # loaded — the lazy parquet path goes straight to the cache check
-    registry = f"{fixture_dir}/registry.parquet" if os.path.exists(cache) else None
-    if registry is None:
-        registry, sources = load_side_tables(fixture_dir)
-    else:
-        sources = load_sources_only(fixture_dir)
+    registry, sources = link_tables(fixture_dir)
     if index_ref is not None:
         registry = index_ref
     pages = read_pages(fixture_dir)

@@ -175,6 +175,24 @@ def _bytesum(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _publish(path: str, data: bytes) -> None:
+    """Replace the release file ``path`` with ``data``, then write its
+    ``.bytesum`` sidecar — the reference's skip-if-unchanged pull contract
+    (userCode/defs_test.py:86-98).  The old sidecar goes first and the
+    file is replaced by rename, so a crash at any point leaves the old or
+    the new file with its own sidecar or with none; without one,
+    :func:`pull_release_graphs` hashes the file itself."""
+    sidecar = path + ".bytesum"
+    if os.path.exists(sidecar):
+        os.remove(sidecar)
+    with open(path + ".tmp", "wb") as f:
+        f.write(data)
+    os.replace(path + ".tmp", path)
+    digest = _bytesum(data)
+    with open(sidecar, "w") as f:
+        f.write(digest)
+
+
 def _source_path(graphs_dir: str, source: str, salt: int | None = None) -> str:
     safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in source)
     if salt is None:
@@ -241,13 +259,11 @@ def write_release_graphs(
         t = t.sort_by([(k, "ascending") for k in ("pred", "subj", "obj", "obj_is_literal")])
         data, n_quads = _gzip_lines(render_quads(t, f"<urn:graph:{source}>", hyf_structural))
         path = _source_path(graphs_dir, source, salt)
-        with open(path, "wb") as f:
-            f.write(data)
         if salt is None:
-            # .bytesum sidecar — the reference's skip-if-unchanged pull
-            # contract (userCode/defs_test.py:86-98)
-            with open(path + ".bytesum", "w") as f:
-                f.write(_bytesum(data))
+            _publish(path, data)
+        else:
+            with open(path, "wb") as f:
+                f.write(data)
         return pa.table({"source": [source], "n_quads": [n_quads], "path": [path]})
 
     parts = sorted_map_groups(triples, keys, render).to_pandas()
@@ -261,15 +277,13 @@ def write_release_graphs(
 
     @ray.remote(num_cpus=0.5)
     def concat_members(final: str, member_paths: list[str]) -> None:
-        with open(final, "wb") as f:
-            for p in member_paths:
-                with open(p, "rb") as m:
-                    f.write(m.read())
-                os.remove(p)
-        with open(final, "rb") as f:
-            digest = _bytesum(f.read())
-        with open(final + ".bytesum", "w") as f:
-            f.write(digest)
+        data = []
+        for p in member_paths:
+            with open(p, "rb") as m:
+                data.append(m.read())
+        _publish(final, b"".join(data))
+        for p in member_paths:
+            os.remove(p)
 
     out = parts.groupby("source", as_index=False)["n_quads"].sum()
     out["path"] = [_source_path(graphs_dir, source) for source in out["source"]]

@@ -310,7 +310,7 @@ def sorted_agg_by(
 
     * at most :data:`BOUNDED_FINISH_ROWS` partial rows (block metadata):
       one ``_finish_task`` over all of them, so a few keys per block
-      (the per-source checkpoint hashes) never pay for a range sort.
+      (the low-cardinality query rollups) never pay for a range sort.
       Its output comes back in as many blocks as the partials had, but
       at most one per ``target_min_block_size`` (Ray Data's, 1 MiB) of
       partial bytes;

@@ -6,14 +6,19 @@ and its crawl cleanup bookkeeping into explicit per-source-partition
 manifests:
 
     out_dir/
-      data/graph=<source>/…parquet     (the partition's triples)
+      data/graph=<source>/part-<stem>.parquet   (the partition's triples,
+                                                  content-named files)
       manifests/<source>.json          {partition_id, input_hash, rows_in,
-                                        triples_out, content_hash, …}
+                                        triples_out, content_hash, files,
+                                        …}
 
-A rerun skips every partition whose ``input_hash`` still matches the
-current input — the resume contract the north_rule requires.  Manifests
-are written last and atomically (tmp + rename), so a partition is either
-complete-with-manifest or will be redone.
+``files`` lists the partition's live data files (relative to ``data/``);
+readers read those and no other.  A rerun skips every partition whose
+``input_hash`` still matches the current input — the resume contract the
+north_rule requires.  Manifests are written last and atomically (tmp +
+rename), after the files they list and before the files they supersede
+are deleted, so a partition reads as its old or its new state and is
+either complete-with-manifest or will be redone.
 """
 
 from __future__ import annotations
@@ -56,11 +61,13 @@ def write_manifest(out_dir: str, partition_id: str, payload: dict) -> str:
 
 def completed_partitions(out_dir: str, input_hashes: dict[str, str]) -> set[str]:
     """Partitions whose stored input_hash matches the current input —
-    these are skipped on resume (bytesum semantics)."""
+    these are skipped on resume (bytesum semantics).  A manifest that
+    lists no ``files`` (one written before manifests listed them) does
+    not count: its partition is rebuilt once."""
     done = set()
     for pid, h in input_hashes.items():
         m = load_manifest(out_dir, pid)
-        if m is not None and m.get("input_hash") == h:
+        if m is not None and m.get("input_hash") == h and "files" in m:
             done.add(pid)
     return done
 

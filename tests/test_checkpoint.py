@@ -256,6 +256,225 @@ def test_read_output_ignores_uncommitted_partition(fixture_sf0001, tmp_out):
     assert "bogus" not in gvals and len(gvals) == 20
 
 
+# ------------------------------------------------- crash-consistent commits
+_COLS = ["subj", "pred", "obj", "obj_is_literal", "graph"]
+
+
+@pytest.fixture(scope="module")
+def committed(fixture_sf0001, tmp_path_factory):
+    """One committed run over sf0.001; tests resume from copies of it."""
+    out = str(tmp_path_factory.mktemp("committed") / "kg")
+    cp.run_checkpointed(fixture_sf0001, out)
+    return out
+
+
+def _copy(committed, tmp_path):
+    import shutil
+
+    out = str(tmp_path / "kg")
+    shutil.copytree(committed, out)
+    return out
+
+
+def _triples(out):
+    """The multiset of triples ``read_output`` sees, per graph."""
+    from collections import Counter
+
+    df = cp.read_output(out).to_pandas()[_COLS].astype({"graph": str})
+    return Counter(df.itertuples(index=False, name=None))
+
+
+def _of(triples, graph):
+    return {t: n for t, n in triples.items() if t[4] == graph}
+
+
+def _edited_fixture(fixture_sf0001, path, sources):
+    """sf0.001 with the ``schema:name`` of the first ld+json page of each
+    of ``sources`` changed, so that exactly their triples change."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    _page_fixture(fixture_sf0001, path, 500)
+    part = os.path.join(path, "pages", "part-0.parquet")
+    pages = pq.read_table(part)
+    html = pages["html"].to_pylist()
+    for src in sources:
+        i = next(
+            i for i, (u, h) in enumerate(zip(pages["url"].to_pylist(), html))
+            if u.split("/")[3] == src and b'"schema:name":"' in h
+        )
+        html[i] = html[i].replace(b'"schema:name":"', b'"schema:name":"edited ', 1)
+    pq.write_table(pages.set_column(2, "html", pa.array(html, pa.binary())), part)
+    return path
+
+
+def _unlisted(out):
+    """``.parquet`` files under ``data/graph=*`` that no manifest lists."""
+    data = os.path.join(out, "data")
+    on_disk = {
+        f"{d}/{f}" for d in os.listdir(data) for f in os.listdir(os.path.join(data, d))
+        if f.endswith(".parquet")
+    }
+    listed = {
+        f for src in cp.committed_sources(out) for f in mf.load_manifest(out, src)["files"]
+    }
+    return on_disk - listed
+
+
+def _crash_on_call(monkeypatch, k):
+    """Make the ``k``-th ``write_manifest`` call raise."""
+    calls, real = [], mf.write_manifest
+
+    def write_manifest(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise OSError(f"crash at manifest {k}")
+        return real(*args)
+
+    monkeypatch.setattr(mf, "write_manifest", write_manifest)
+
+
+def test_refresh_crash_before_manifest_reads_old_state(
+    committed, fixture_sf0001, tmp_path, monkeypatch
+):
+    """New files exist but no manifest has moved: readers see exactly the
+    pre-run multiset; the next run commits and leaves no garbage."""
+    out = _copy(committed, tmp_path)
+    before = _triples(out)
+    fx = _edited_fixture(fixture_sf0001, str(tmp_path / "fx"), ["src0"])
+    _crash_on_call(monkeypatch, 1)
+    with pytest.raises(OSError, match="manifest 1"):
+        cp.run_checkpointed(fx, out)
+    assert _triples(out) == before
+    assert _unlisted(out)  # the rebuild's files exist, invisible
+    monkeypatch.undo()
+    assert cp.run_checkpointed(fx, out)["completed"] == ["src0"]
+    after = _triples(out)
+    assert _of(after, "src0") != _of(before, "src0")
+    assert {t: n for t, n in after.items() if t[4] != "src0"} == {
+        t: n for t, n in before.items() if t[4] != "src0"
+    }
+    assert not _unlisted(out)
+
+
+def test_refresh_crash_between_manifests_reads_old_or_new(
+    committed, fixture_sf0001, tmp_path, monkeypatch
+):
+    """A crash at the second manifest of a two-source rebuild: the first
+    source reads as its new state, the second as its old one."""
+    out = _copy(committed, tmp_path)
+    before = _triples(out)
+    fx = _edited_fixture(fixture_sf0001, str(tmp_path / "fx"), ["src0", "src1"])
+    _crash_on_call(monkeypatch, 2)
+    with pytest.raises(OSError, match="manifest 2"):
+        cp.run_checkpointed(fx, out)
+    torn = _triples(out)
+    monkeypatch.undo()
+    assert cp.run_checkpointed(fx, out)["completed"] == ["src1"]
+    after = _triples(out)
+    assert _of(torn, "src0") == _of(after, "src0") != _of(before, "src0")
+    assert _of(torn, "src1") == _of(before, "src1") != _of(after, "src1")
+    assert not _unlisted(out)
+
+
+def test_manifest_without_files_is_rebuilt_once(committed, fixture_sf0001, tmp_path):
+    """A manifest written before manifests listed their files counts as
+    pending: its source is rebuilt once, then skipped."""
+    import json
+
+    out = _copy(committed, tmp_path)
+    p = mf.manifest_path(out, "src3")
+    with open(p) as f:
+        m = json.load(f)
+    del m["files"]
+    with open(p, "w") as f:
+        json.dump(m, f)
+    assert cp.run_checkpointed(fixture_sf0001, out)["completed"] == ["src3"]
+    assert mf.load_manifest(out, "src3")["files"]
+    assert not cp.run_checkpointed(fixture_sf0001, out)["completed"]
+    assert cp.read_output(out).count() == 2824 and not _unlisted(out)
+
+
+def test_stray_parquet_in_committed_dir_is_invisible(committed, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    out = _copy(committed, tmp_path)
+    before = _triples(out)
+    stray = pa.table({c: pa.array(["s"], pa.large_string()) for c in ("subj", "pred", "obj")})
+    stray = stray.append_column("obj_is_literal", pa.array([False]))
+    pq.write_table(stray, os.path.join(out, "data", "graph=src0", "part-stray.parquet"))
+    assert _triples(out) == before
+
+
+def test_commit_layout_independent(committed, fixture_sf0001, tmp_path):
+    """``input_summary`` and every manifest's (triples_out, content_hash)
+    are the same whether the pages arrive as one parquet file or as many
+    small ones, 1-row files included."""
+    import pyarrow.parquet as pq
+
+    fx = str(tmp_path / "fx")
+    _page_fixture(fixture_sf0001, fx, 0)
+    os.remove(os.path.join(fx, "pages", "part-0.parquet"))
+    pages = pq.read_table(os.path.join(fixture_sf0001, "pages"))
+    cuts = [*range(0, 24), *range(24, 500, 53), 500]
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        pq.write_table(pages.slice(a, b - a), os.path.join(fx, "pages", f"part-{i:03d}.parquet"))
+    one = cp.input_summary(fixture_sf0001)
+    assert cp.input_summary(fx).equals(one)
+    out = str(tmp_path / "kg")
+    assert len(cp.run_checkpointed(fx, out)["completed"]) == 20
+    for src in one["source"]:
+        a, b = mf.load_manifest(committed, src), mf.load_manifest(out, src)
+        assert (a["triples_out"], a["content_hash"]) == (b["triples_out"], b["content_hash"])
+    assert _triples(out) == _triples(committed)
+
+
+def test_commit_fold_block_layouts(committed, tmp_path):
+    """The per-block commit and the driver fold give every source's
+    manifest (triples_out, content_hash) over 1-row and ragged blocks,
+    with empty and zero-column blocks in between."""
+    import pyarrow as pa
+    import ray
+
+    t = pa.concat_tables(ray.get(cp.read_output(committed).to_arrow_refs())).select(_COLS)
+    t = t.set_column(4, "graph", t["graph"].cast(pa.large_string()))
+    cuts = [*range(0, 40), *range(40, t.num_rows, 611), t.num_rows]
+    data = str(tmp_path / "data")
+    parts = [cp._commit_block(t.slice(a, b - a), data) for a, b in zip(cuts, cuts[1:])]
+    parts[5:5] = [pa.table({}), parts[0].slice(0, 0)]
+    folded = cp._fold(parts, "graph")
+    assert cp._fold(parts[:5] + parts[7:], "graph") == folded
+    for src, (n, h) in folded.items():
+        m = mf.load_manifest(committed, src)
+        assert (m["triples_out"], m["content_hash"]) == (n, str(h))
+    assert len(folded) == 20
+
+
+def test_release_sidecar_failure_pulls_new_bytes(tmp_path, monkeypatch):
+    """If the ``.bytesum`` write fails after a release file changed, the
+    pull hashes the file itself and pulls the new bytes: no sidecar of
+    the old file is left beside the new one."""
+    graphs, dest = str(tmp_path / "graphs"), str(tmp_path / "dest")
+    os.makedirs(graphs)
+    path = os.path.join(graphs, "src0_release.nq.gz")
+    nq._publish(path, b"old bytes")
+    assert list(nq.pull_release_graphs(graphs, dest)["action"]) == ["pulled"]
+
+    def fail(data):
+        raise OSError("sidecar write failed")
+
+    monkeypatch.setattr(nq, "_bytesum", fail)
+    with pytest.raises(OSError):
+        nq._publish(path, b"new bytes")
+    monkeypatch.undo()
+    assert not os.path.exists(path + ".bytesum")
+    assert list(nq.pull_release_graphs(graphs, dest)["action"]) == ["pulled"]
+    with open(os.path.join(dest, "src0_release.nq.gz"), "rb") as f:
+        assert f.read() == b"new bytes"
+    assert list(nq.pull_release_graphs(graphs, dest)["action"]) == ["skipped"]
+
+
 # ----------------------------------------------------- publishing dry runs
 def _release_dir(tmp_path):
     d = tmp_path / "graphs"

@@ -5,7 +5,8 @@ Partition unit = source (the reference's sitemap partition — one release
 graph per source, reference release_graph_generator.py:31-83).  Flow:
 
 1. cheap metadata pass over pages (url + html — column-pruned read):
-   per-source row count + order-insensitive 64-bit input hash;
+   per-source row count + order-insensitive 64-bit input hash, from one
+   plain task per group of page files (no Ray Data execution);
 2. compare against stored manifests → pending partitions;
 3. run the flagship pipeline on ONLY the pending pages: an Arrow filter
    of each page batch on its derived ``source`` (``pc.is_in`` over the
@@ -22,8 +23,9 @@ graph per source, reference release_graph_generator.py:31-83).  Flow:
 Both hashes are order-insensitive sums of per-row 32-bit hashes, so
 reruns of unchanged input compare equal without sorting the rows.  Each
 block emits one ``(key, n, hash_sum)`` partial row per source, summed
-by ``segments.agg_kernel``'s ``apply``; the driver streams the partials
-back and finishes them with the same ``apply``: no exchange runs.
+by ``segments.agg_kernel``'s ``apply`` (the scan: one per file-group
+task); the driver gathers the partials and finishes them with the same
+``apply``: no exchange runs.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
-from ray.data import Dataset
+from ray.data import Dataset, DataContext
 
 from ..config import PipelineConfig
 from ..stages.extract import derive_source_batch
@@ -90,17 +94,52 @@ def _scan_block(t: pa.Table) -> pa.Table:
     return _sums("source", pa.table({"source": t["source"], "hash_sum": h, "n": np.ones_like(h)}))
 
 
+@ray.remote
+def _scan_files(paths: list[str], block_bytes: int | None) -> pa.Table:
+    """One ``(source, n, hash_sum)`` partial over the pages of ``paths``:
+    each file's (url, html) record batches, of about ``block_bytes`` of
+    those columns each (from the footer's uncompressed sizes; None: one
+    batch per file), go through :func:`_scan_block`."""
+    parts = []
+    for path in paths:
+        f = pq.ParquetFile(path)
+        md = f.metadata
+        cols = [f.schema_arrow.get_field_index(c) for c in flagship.PAGE_COLUMNS]
+        nbytes = sum(
+            md.row_group(g).column(c).total_uncompressed_size
+            for g in range(md.num_row_groups)
+            for c in cols
+        )
+        rows = md.num_rows if block_bytes is None else md.num_rows * block_bytes // max(1, nbytes)
+        for b in f.iter_batches(batch_size=max(1, rows), columns=flagship.PAGE_COLUMNS):
+            parts.append(_scan_block(pa.Table.from_batches([b])))
+    parts = [p for p in parts if p.num_rows]
+    return _sums("source", pa.concat_tables(parts)) if parts else pa.table({})
+
+
 def input_summary(fixture_dir: str) -> pd.DataFrame:
-    """Per-source (n_pages, input_hash) from a (url, html)-pruned read.
+    """Per-source (n_pages, input_hash) from a (url, html)-pruned scan.
 
     The hash folds in the page *content* (html bytes), not just the url
     set, so a re-crawl that changes a page body under an unchanged url
     invalidates the partition — true ``.bytesum`` content-hash semantics
     (reference userCode/defs_test.py:86-98), per ADVICE r1.  A page whose
     url yields no source belongs to no partition.
+
+    The page files are discovered as Ray Data's parquet reader finds them
+    (pyarrow dataset discovery: subdirectories included, ``_``- and
+    ``.``-prefixed names skipped).  One plain task per
+    :data:`flagship.FILE_GROUP` files returns one partial, and the
+    driver folds the partials: a metadata-sized result needs no
+    streaming executor.
     """
-    pages = rd.read_parquet(f"{fixture_dir}/pages", columns=["url", "html"])
-    sums = _fold(_streamed(pages, _scan_block), "source")
+    files = pq.ParquetDataset(f"{fixture_dir}/pages").files
+    block_bytes = DataContext.get_current().target_max_block_size
+    refs = [
+        _scan_files.remote(files[i : i + flagship.FILE_GROUP], block_bytes)
+        for i in range(0, len(files), flagship.FILE_GROUP)
+    ]
+    sums = _fold(ray.get(refs), "source")
     return pd.DataFrame(
         [(src, n, str(h)) for src, (n, h) in sums.items()],
         columns=["source", "n_pages", "input_hash"],
@@ -211,7 +250,7 @@ def read_output(out_dir: str) -> Dataset:
     moves, are invisible; so is any other unlisted file (a stray
     ``graph=`` dir, garbage of a crashed run) and a manifest written
     before manifests listed files, until its source is rebuilt.  Reading
-    ``data/`` directly with ``rd.read_parquet`` bypasses this gate."""
+    ``data/`` directly with Ray Data's parquet reader bypasses this gate."""
     data_dir = os.path.join(out_dir, "data")
     files = [
         os.path.join(data_dir, f)

@@ -463,7 +463,7 @@ def write_canonical_single_pass(
         fixed = len(replaced)
     elif merger.n_parts:
         # no pair file at all → nothing can need a fixup
-        lut_ref = merger.finish()
+        lut_ref = merger.finish(total_pairs)
         sidecars = [
             os.path.join(out_dir, SIDECAR_DIR, f"{s}.npy") for s in sorted(seen_stems)
         ]

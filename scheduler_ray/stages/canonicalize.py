@@ -42,6 +42,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from . import segments
 from .expand import SAME_AS, SAME_AS_IRI
 from .segments import _drop_empty_blocks, sorted_agg_by
 
@@ -402,8 +403,7 @@ def build_rewrite_lut(keys, vals) -> tuple:
     return keys_sorted, vals_sorted, kh_sorted, bitmap, hash_unique
 
 
-@ray.remote
-def _merge_pairs(fs, *parts) -> pa.Table:
+def _merge_parts(fs, parts) -> pa.Table:
     """Merge pair tables; a ``str`` part is a pair file read through
     ``fs``, anything else an already-resolved pair table."""
     return _merge_pair_tables(
@@ -411,9 +411,25 @@ def _merge_pairs(fs, *parts) -> pa.Table:
     )
 
 
-#: node-hash range shards for the final merge+LUT build (2^3 = 8 tasks).
-#: Sharding by NODE hash keeps every duplicate/conflicting pair for one
-#: node in one shard, so per-shard closure is exact within the shard.
+@ray.remote
+def _merge_pairs(fs, *parts) -> pa.Table:
+    return _merge_parts(fs, parts)
+
+
+@ray.remote
+def _finish_lut(fs, *parts) -> tuple:
+    """The whole LUT in one task: one merge and one build, the exact
+    path :func:`_concat_lut_shards` falls back to."""
+    merged = _merge_parts(fs, parts)
+    return build_rewrite_lut(
+        merged["node"].combine_chunks(), merged["root"].combine_chunks()
+    )
+
+
+#: node-hash range shards for the LUT build above the one-task cap
+#: (2^3 = 8 tasks).  Sharding by NODE hash keeps every
+#: duplicate/conflicting pair for one node in one shard, so per-shard
+#: closure is exact within the shard.
 _LUT_SHARD_BITS = 3
 
 
@@ -507,6 +523,12 @@ class _PairMerger:
     ``finish()`` only pays the final small reduction.  The driver never
     holds pair bytes — only ObjectRefs.
 
+    ``finish(n_rows)`` takes the pair row count the caller already has
+    (the writer's pair-file counts, the edge blocks' metadata).  At most
+    ``segments.BOUNDED_FINISH_ROWS`` pairs are merged and built into the
+    LUT by ONE task; more (or an unknown count) go through the sharded
+    finish.
+
     ``num_cpus`` is the CPU request of every merge task.  The writer uses
     0: each merge is milliseconds of compute over at most fanout small
     pair tables, but while the writer streams every whole CPU is held by
@@ -538,9 +560,15 @@ class _PairMerger:
         if len(self.refs) >= self.fanout * 2:
             self.refs = [self._merge(self.refs[: self.fanout])] + self.refs[self.fanout :]
 
-    def finish(self) -> "ray.ObjectRef":
+    def finish(self, n_rows: int | None = None) -> "ray.ObjectRef":
         """The ObjectRef of the finished LUT tuple (empty if nothing was
-        added)."""
+        added); ``n_rows`` is the pair count of all parts, None if
+        unknown."""
+        if n_rows is not None and n_rows <= segments.BOUNDED_FINISH_ROWS:
+            # up to the cap one task is no slower than the eight shards
+            # on four CPUs, and it skips their nine task launches
+            parts, self.refs, self.pending = self.refs + self.pending, [], []
+            return _finish_lut.options(**self.opts).remote(self.fs, *parts)
         if self.pending:
             self.refs.append(self._merge(self.pending))
             self.pending = []
@@ -572,9 +600,11 @@ def lut_ref_from_edges(edges: Dataset, *, merge_fanout: int = 8) -> "ray.ObjectR
     # workers and Ray starts extra worker processes for the merge tasks
     # (on one CPU: refresh-benchmark wall 1.5 s → 3.0-3.5 s, +180 MB RSS).
     merger = _PairMerger(merge_fanout=merge_fanout, num_cpus=1)
-    for ref in edges.to_arrow_refs():
+    rows = []
+    for ref, meta in segments._blocks(edges):
         merger.add(ref)
-    lut_ref = merger.finish()
+        rows.append(meta.num_rows)
+    lut_ref = merger.finish(None if None in rows else sum(rows))
     ray.wait([lut_ref], fetch_local=False)
     return lut_ref
 

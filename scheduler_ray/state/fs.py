@@ -6,8 +6,8 @@ node, but object stores (S3/GCS) have no rename.  This module gives the
 writers an fsspec-style seam plus a **commit-manifest protocol** so the
 same code is correct on both:
 
-* :class:`LocalFS` — the POSIX fast path: writes go to ``<path>.tmp``
-  and are published with one atomic rename.
+* :class:`LocalFS` — the POSIX fast path: writes go to a per-put
+  ``<path>.<uuid>.tmp`` and are published with one atomic rename.
 * :class:`NoRenameFS` — object-store semantics: a ``put`` is a single
   all-or-nothing call and **rename does not exist** (the class has none;
   tests run the full writer against it to prove nothing needs one).
@@ -27,7 +27,15 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from typing import Iterable
+
+
+def _tmp_name(path: str) -> str:
+    """A staging name of ``path`` no other put shares (two puts of one
+    content-named path run concurrently when two blocks are equal); it
+    ends in ``.tmp``, so :meth:`LocalFS.list` skips it."""
+    return f"{path}.{uuid.uuid4().hex}.tmp"
 
 
 class LocalFS:
@@ -35,7 +43,7 @@ class LocalFS:
 
     def put_bytes(self, path: str, data: bytes) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
+        tmp = _tmp_name(path)
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -44,7 +52,7 @@ class LocalFS:
         import pyarrow.parquet as pq
 
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
+        tmp = _tmp_name(path)
         pq.write_table(tbl, tmp)
         os.replace(tmp, path)
 

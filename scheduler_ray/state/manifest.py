@@ -6,7 +6,7 @@ and its crawl cleanup bookkeeping into explicit per-source-partition
 manifests:
 
     out_dir/
-      data/graph=<source>/part-<stem>.parquet   (the partition's triples,
+      data/graph=<quote(source)>/part-<stem>.parquet  (the partition's triples,
                                                   content-named files)
       manifests/<source>.json          {partition_id, input_hash, rows_in,
                                         triples_out, content_hash, files,
@@ -26,6 +26,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from urllib.parse import quote
+
+from .fs import LocalFS
 
 
 def manifest_path(out_dir: str, partition_id: str) -> str:
@@ -86,16 +89,15 @@ def gc_manifests(
 
     Deletes up to ``max_delete`` manifests whose ``written_at`` is older
     than ``max_age_s`` seconds, oldest first; with ``delete_data`` the
-    partition's ``data/graph=<source>/`` directory goes with it.  Returns
-    the deleted partition ids (oldest first).
+    data files the manifest lists go with it, and then the partition's
+    ``data/graph=<quoted source>/`` directory if that leaves it empty.
+    Returns the deleted partition ids (oldest first).
     """
-    import shutil
-
     mdir = os.path.join(out_dir, "manifests")
     if not os.path.isdir(mdir):
         return []
     cutoff = (now if now is not None else time.time()) - max_age_s
-    candidates: list[tuple[float, str, str]] = []
+    candidates: list[tuple[float, str, str, list[str]]] = []
     for f in os.listdir(mdir):
         if not f.endswith(".json"):
             continue
@@ -107,15 +109,20 @@ def gc_manifests(
             continue
         ts = float(m.get("written_at", 0))
         if ts < cutoff:
-            candidates.append((ts, m.get("partition_id", os.path.splitext(f)[0]), p))
+            pid = m.get("partition_id", os.path.splitext(f)[0])
+            candidates.append((ts, pid, p, m.get("files", [])))
     candidates.sort()  # oldest first — the reference's ascending order
     deleted: list[str] = []
-    for _ts, pid, p in candidates[:max_delete]:
+    for _ts, pid, p, files in candidates[:max_delete]:
         os.remove(p)
         if delete_data:
-            shutil.rmtree(
-                os.path.join(out_dir, "data", f"graph={pid}"), ignore_errors=True
-            )
+            data_dir = os.path.join(out_dir, "data")
+            for rel in files:
+                LocalFS().delete(os.path.join(data_dir, rel))
+            try:
+                os.rmdir(os.path.join(data_dir, f"graph={quote(pid, safe='')}"))
+            except OSError:  # absent, or holding files no manifest lists
+                pass
         deleted.append(pid)
     return deleted
 

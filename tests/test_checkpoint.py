@@ -6,6 +6,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+from urllib.parse import quote
 
 import pytest
 
@@ -125,6 +126,66 @@ def test_input_summary_skips_sourceless_page(fixture_sf0001, tmp_path):
     assert s["source"].notna().all()
 
 
+def _oracle_scan(fx):
+    """The per-source scan as one Ray Data execution: ``rd.read_parquet``
+    of the pages, ``_scan_block`` per block, the driver fold."""
+    import ray.data as rd
+
+    pages = rd.read_parquet(f"{fx}/pages", columns=["url", "html"])
+    return cp._fold(cp._streamed(pages, cp._scan_block), "source")
+
+
+def _as_sums(s):
+    return {src: (n, int(h)) for src, n, h in zip(s["source"], s["n_pages"], s["input_hash"])}
+
+
+def test_input_summary_matches_read_parquet_scan(fixture_sf0001, tmp_path, monkeypatch):
+    """Page files with 7-row row groups, a nested subdirectory, and
+    ``_SUCCESS`` and ``.hidden`` files scan to the summary a
+    ``rd.read_parquet`` scan gives, also when every file is read in
+    several batches."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    fx = str(tmp_path / "fx")
+    _page_fixture(fixture_sf0001, fx, 0)
+    pages = pq.read_table(os.path.join(fixture_sf0001, "pages"))
+    os.makedirs(os.path.join(fx, "pages", "sub"))
+    pq.write_table(pages.slice(0, 180), os.path.join(fx, "pages", "part-0.parquet"), row_group_size=7)
+    pq.write_table(pages.slice(180), os.path.join(fx, "pages", "sub", "part-1.parquet"), row_group_size=7)
+    open(os.path.join(fx, "pages", "_SUCCESS"), "w").close()
+    with open(os.path.join(fx, "pages", ".hidden"), "w") as f:
+        f.write("not parquet")
+    oracle = _oracle_scan(fx)
+    assert len(oracle) == 20 and sum(n for n, _ in oracle.values()) == 500
+    assert _as_sums(cp.input_summary(fx)) == oracle
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 20_000)
+    assert _as_sums(cp.input_summary(fx)) == oracle
+
+
+def test_input_summary_runs_without_ray_data_read(fixture_sf0001, monkeypatch):
+    """The scan opens its page files itself: no ``rd.read_parquet``."""
+    import ray.data
+
+    oracle = _oracle_scan(fixture_sf0001)
+
+    def no_read(*_a, **_k):
+        raise AssertionError("read_parquet called")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_read)
+    assert _as_sums(cp.input_summary(fixture_sf0001)) == oracle
+
+
+def test_input_summary_of_no_pages(fixture_sf0001, tmp_path):
+    """An empty ``pages/`` is an empty summary of the usual columns."""
+    fx = str(tmp_path / "fx")
+    _page_fixture(fixture_sf0001, fx, 0)
+    os.remove(os.path.join(fx, "pages", "part-0.parquet"))
+    s = cp.input_summary(fx)
+    assert list(s.columns) == ["source", "n_pages", "input_hash"] and s.empty
+    assert s["n_pages"].dtype == "int64"
+
+
 def test_zero_triple_rebuild_completes(fixture_sf0001, tmp_path):
     """A pending source whose pages carry no ld+json still commits, with
     ``triples_out`` 0 and ``content_hash`` "0", even when no pending
@@ -224,6 +285,26 @@ def test_manifest_gc_oldest_first_bounded(tmp_out):
     # second sweep picks up the remaining expired one; src3 is retained
     assert mf.gc_manifests(tmp_out, max_age_s=50, now=now) == ["src1"]
     assert mf.load_manifest(tmp_out, "src3") is not None
+
+
+def test_manifest_gc_deletes_listed_files_of_quoted_source(tmp_out):
+    """GC removes the files a manifest lists under the quoted hive dir
+    the commit writes (``a:b`` → ``graph=a%3Ab``), then the emptied dir;
+    other sources' files stay."""
+    data = os.path.join(tmp_out, "data")
+    for src in ("a:b", "c d"):
+        rel = f"graph={quote(src, safe='')}/part-0.parquet"
+        os.makedirs(os.path.dirname(os.path.join(data, rel)))
+        open(os.path.join(data, rel), "wb").close()
+        mf.write_manifest(tmp_out, src, {"input_hash": "h", "files": [rel]})
+    now = mf.load_manifest(tmp_out, "c d")["written_at"] + 100
+    m = mf.load_manifest(tmp_out, "a:b")
+    m["written_at"] = 0.0
+    with open(mf.manifest_path(tmp_out, "a:b"), "w") as f:
+        json.dump(m, f)
+    assert mf.gc_manifests(tmp_out, max_age_s=1000, now=now) == ["a:b"]
+    assert os.listdir(data) == ["graph=c%20d"]
+    assert os.listdir(os.path.join(data, "graph=c%20d")) == ["part-0.parquet"]
 
 
 def test_read_output_ignores_uncommitted_partition(fixture_sf0001, tmp_out):

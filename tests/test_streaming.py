@@ -8,6 +8,7 @@ cannot close).
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import pyarrow as pa
@@ -357,6 +358,27 @@ def test_fsspec_fs_contract_memory_protocol():
     assert fs.list(f"{base}/a") == []
 
 
+def test_local_fs_concurrent_puts_of_one_path(tmp_path):
+    """Concurrent puts of one content-named path (two equal blocks) each
+    stage under their own tmp name: none raises, the path holds one
+    writer's bytes whole, and no ``*.tmp`` is left behind."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from scheduler_ray.state.fs import LocalFS
+
+    path = str(tmp_path / "graph=a" / "part-x.parquet")
+    payloads = [bytes([i]) * 200_000 for i in range(8)]
+    tables = [pa.table({"v": pa.array([i] * 20_000)}) for i in range(8)]
+    fs = LocalFS()
+    with ThreadPoolExecutor(8) as pool:
+        list(pool.map(lambda b: fs.put_bytes(path, b), payloads))
+    assert fs.get_bytes(path) in payloads
+    with ThreadPoolExecutor(8) as pool:
+        list(pool.map(lambda t: fs.put_table(t, path), tables))
+    assert any(fs.read_table(path).equals(t) for t in tables)
+    assert os.listdir(os.path.dirname(path)) == ["part-x.parquet"]
+
+
 def _pair_table(nodes, roots):
     from scheduler_ray.stages.canonicalize import _hash_large_string
 
@@ -490,6 +512,74 @@ def test_sharded_lut_conflicted_alias_key_escape(ray_session):
     # set's min-label canon — none may dangle at an intermediate alias
     merged_keys = set(merged["node"].to_pylist())
     assert all(g not in merged_keys for g in got), [g for g in got if g in merged_keys][:5]
+
+
+def _random_pair_sets(seed):
+    """Pair tables of random alias sets: conflicted aliases (one node,
+    two roots, in different tables) and chains across tables (a root of
+    one table is a node of another, up to a pid)."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    tables = []
+    for t in range(int(rng.integers(2, 6))):
+        pairs = []
+        for _ in range(int(rng.integers(5, 60))):
+            i = int(rng.integers(0, 40))
+            kind = rng.integers(0, 3)
+            if kind == 0:  # conflicted: the same alias under two roots
+                pairs.append((f"https://m.example/a/{i}", f"https://p.example/r/{i % 7}"))
+            elif kind == 1:  # chain link: a root of another table → pid
+                pairs.append((f"https://p.example/r/{i % 7}", f"https://pids.example/s/{i % 3}"))
+            else:
+                pairs.append((f"https://m.example/a/{i}", f"https://m.example/c/{t}"))
+        tables.append(_pair_table([a for a, _ in pairs], [b for _, b in pairs]))
+    return tables
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, "empty"])
+@pytest.mark.parametrize("feed", ["edges", "files"])
+def test_one_task_lut_finish_matches_sharded(tmp_path, monkeypatch, seed, feed):
+    """At or below ``segments.BOUNDED_FINISH_ROWS`` pairs the LUT is
+    merged and built in one task; above it by the sharded finish.  Both
+    give the same keys, canons, key hashes and uniqueness flag, whether
+    the pairs come as edge blocks (``lut_ref_from_edges``) or as the
+    writer's pair files (``_PairMerger.finish(total_pairs)``)."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray
+
+    from scheduler_ray.stages import canonicalize, segments
+    from scheduler_ray.stages.canonicalize import PAIR_SCHEMA, _PairMerger
+    from scheduler_ray.state.fs import LocalFS
+
+    tables = [PAIR_SCHEMA.empty_table()] if seed == "empty" else _random_pair_sets(seed)
+    n = sum(t.num_rows for t in tables)
+
+    def unused(*_a, **_k):
+        raise AssertionError("the other finish ran")
+
+    def build(cap):
+        monkeypatch.setattr(segments, "BOUNDED_FINISH_ROWS", cap)
+        if feed == "edges":
+            return ray.get(canonicalize.lut_ref_from_edges(rd.from_arrow(tables), merge_fanout=2))
+        m = _PairMerger(LocalFS(), merge_fanout=2)
+        for i, t in enumerate(tables):
+            path = str(tmp_path / f"pairs-{cap}-{i}.parquet")
+            pq.write_table(t, path)
+            m.add(path)
+        return ray.get(m.finish(n))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(canonicalize, "_finish_lut_shard", type("U", (), {"options": unused}))
+        one = build(n)
+    with monkeypatch.context() as mp:
+        mp.setattr(canonicalize, "_finish_lut", type("U", (), {"options": unused}))
+        sharded = build(n - 1)
+    assert one[0].to_pylist() == sharded[0].to_pylist()
+    assert one[1].to_pylist() == sharded[1].to_pylist()
+    np.testing.assert_array_equal(one[2], sharded[2])
+    assert one[4] == sharded[4]
 
 
 def test_distributed_fixup_matches_broadcast(tmp_out):

@@ -6,7 +6,7 @@ graph per source, reference release_graph_generator.py:31-83).  Flow:
 
 1. cheap metadata pass over pages (url + html — column-pruned read):
    per-source row count + order-insensitive 64-bit input hash, from one
-   plain task per group of page files (no Ray Data execution);
+   plain task per page file (no Ray Data execution);
 2. compare against stored manifests → pending partitions;
 3. run the flagship pipeline on ONLY the pending pages: an Arrow filter
    of each page batch on its derived ``source`` (``pc.is_in`` over the
@@ -23,7 +23,7 @@ graph per source, reference release_graph_generator.py:31-83).  Flow:
 Both hashes are order-insensitive sums of per-row 32-bit hashes, so
 reruns of unchanged input compare equal without sorting the rows.  Each
 block emits one ``(key, n, hash_sum)`` partial row per source, summed
-by ``segments.agg_kernel``'s ``apply`` (the scan: one per file-group
+by ``segments.agg_kernel``'s ``apply`` (the scan: one per page-file
 task); the driver gathers the partials and finishes them with the same
 ``apply``: no exchange runs.
 """
@@ -41,7 +41,7 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-from ray.data import Dataset, DataContext
+from ray.data import Dataset
 
 from ..config import PipelineConfig
 from ..stages.extract import derive_source_batch
@@ -95,24 +95,14 @@ def _scan_block(t: pa.Table) -> pa.Table:
 
 
 @ray.remote
-def _scan_files(paths: list[str], block_bytes: int | None) -> pa.Table:
-    """One ``(source, n, hash_sum)`` partial over the pages of ``paths``:
-    each file's (url, html) record batches, of about ``block_bytes`` of
-    those columns each (from the footer's uncompressed sizes; None: one
-    batch per file), go through :func:`_scan_block`."""
-    parts = []
-    for path in paths:
-        f = pq.ParquetFile(path)
-        md = f.metadata
-        cols = [f.schema_arrow.get_field_index(c) for c in flagship.PAGE_COLUMNS]
-        nbytes = sum(
-            md.row_group(g).column(c).total_uncompressed_size
-            for g in range(md.num_row_groups)
-            for c in cols
-        )
-        rows = md.num_rows if block_bytes is None else md.num_rows * block_bytes // max(1, nbytes)
-        for b in f.iter_batches(batch_size=max(1, rows), columns=flagship.PAGE_COLUMNS):
-            parts.append(_scan_block(pa.Table.from_batches([b])))
+def _scan_file(path: str) -> pa.Table:
+    """One ``(source, n, hash_sum)`` partial over the pages of ``path``:
+    each row group's (url, html) columns go through :func:`_scan_block`."""
+    f = pq.ParquetFile(path)
+    parts = [
+        _scan_block(f.read_row_group(g, columns=flagship.PAGE_COLUMNS))
+        for g in range(f.num_row_groups)
+    ]
     parts = [p for p in parts if p.num_rows]
     return _sums("source", pa.concat_tables(parts)) if parts else pa.table({})
 
@@ -128,18 +118,12 @@ def input_summary(fixture_dir: str) -> pd.DataFrame:
 
     The page files are discovered as Ray Data's parquet reader finds them
     (pyarrow dataset discovery: subdirectories included, ``_``- and
-    ``.``-prefixed names skipped).  One plain task per
-    :data:`flagship.FILE_GROUP` files returns one partial, and the
-    driver folds the partials: a metadata-sized result needs no
-    streaming executor.
+    ``.``-prefixed names skipped).  One plain task per page file returns
+    one partial, and the driver folds the partials: a metadata-sized
+    result needs no streaming executor.
     """
     files = pq.ParquetDataset(f"{fixture_dir}/pages").files
-    block_bytes = DataContext.get_current().target_max_block_size
-    refs = [
-        _scan_files.remote(files[i : i + flagship.FILE_GROUP], block_bytes)
-        for i in range(0, len(files), flagship.FILE_GROUP)
-    ]
-    sums = _fold(ray.get(refs), "source")
+    sums = _fold(ray.get([_scan_file.remote(f) for f in files]), "source")
     return pd.DataFrame(
         [(src, n, str(h)) for src, (n, h) in sums.items()],
         columns=["source", "n_pages", "input_hash"],

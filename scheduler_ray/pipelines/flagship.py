@@ -48,9 +48,6 @@ from ..stages.extract import extract_stage
 from ..stages.link import INDEX_CACHE_NAME, link_stage
 
 PAGE_COLUMNS = ["url", "html"]  # prune at the read: warc_ts/text/lang unused here
-#: files per read task when a read opens its files itself (a written
-#: graph's, checkpoint's page scan): the driver discovers no fragments
-FILE_GROUP = 32
 
 
 def raw_triples(
@@ -177,7 +174,8 @@ def read_graph(out_dir: str, fs=None) -> Dataset:
         # Instead the file list is sharded into groups and each read
         # task opens its own files with pyarrow directly; the hive pred
         # value is reconstructed from each file's directory name.
-        shards = [paths[i : i + FILE_GROUP] for i in range(0, len(paths), FILE_GROUP)]
+        group = 32
+        shards = [paths[i : i + group] for i in range(0, len(paths), group)]
         seam = fs
 
         def read_shard(b: pa.Table):

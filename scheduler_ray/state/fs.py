@@ -44,17 +44,25 @@ class LocalFS:
     def put_bytes(self, path: str, data: bytes) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = _tmp_name(path)
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            self.delete(tmp)  # a failed put leaves no orphan tmp behind
+            raise
 
     def put_table(self, tbl, path: str) -> None:
         import pyarrow.parquet as pq
 
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = _tmp_name(path)
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+        try:
+            pq.write_table(tbl, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            self.delete(tmp)
+            raise
 
     def get_bytes(self, path: str) -> bytes:
         with open(path, "rb") as f:

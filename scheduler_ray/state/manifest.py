@@ -28,8 +28,6 @@ import os
 import time
 from urllib.parse import quote
 
-from .fs import LocalFS
-
 
 def manifest_path(out_dir: str, partition_id: str) -> str:
     safe = sanitize_partition_id(partition_id)
@@ -89,15 +87,18 @@ def gc_manifests(
 
     Deletes up to ``max_delete`` manifests whose ``written_at`` is older
     than ``max_age_s`` seconds, oldest first; with ``delete_data`` the
-    data files the manifest lists go with it, and then the partition's
-    ``data/graph=<quoted source>/`` directory if that leaves it empty.
-    Returns the deleted partition ids (oldest first).
+    partition's ``data/graph=<quote(source)>/`` directory goes with it
+    whole (each source owns its dir, so files no manifest lists — a
+    crashed run's, an orphaned ``*.tmp`` — go too).  Returns the deleted
+    partition ids (oldest first).
     """
+    import shutil
+
     mdir = os.path.join(out_dir, "manifests")
     if not os.path.isdir(mdir):
         return []
     cutoff = (now if now is not None else time.time()) - max_age_s
-    candidates: list[tuple[float, str, str, list[str]]] = []
+    candidates: list[tuple[float, str, str]] = []
     for f in os.listdir(mdir):
         if not f.endswith(".json"):
             continue
@@ -109,20 +110,16 @@ def gc_manifests(
             continue
         ts = float(m.get("written_at", 0))
         if ts < cutoff:
-            pid = m.get("partition_id", os.path.splitext(f)[0])
-            candidates.append((ts, pid, p, m.get("files", [])))
+            candidates.append((ts, m.get("partition_id", os.path.splitext(f)[0]), p))
     candidates.sort()  # oldest first — the reference's ascending order
     deleted: list[str] = []
-    for _ts, pid, p, files in candidates[:max_delete]:
+    for _ts, pid, p in candidates[:max_delete]:
         os.remove(p)
         if delete_data:
-            data_dir = os.path.join(out_dir, "data")
-            for rel in files:
-                LocalFS().delete(os.path.join(data_dir, rel))
-            try:
-                os.rmdir(os.path.join(data_dir, f"graph={quote(pid, safe='')}"))
-            except OSError:  # absent, or holding files no manifest lists
-                pass
+            shutil.rmtree(
+                os.path.join(out_dir, "data", f"graph={quote(pid, safe='')}"),
+                ignore_errors=True,
+            )
         deleted.append(pid)
     return deleted
 

@@ -139,13 +139,11 @@ def _as_sums(s):
     return {src: (n, int(h)) for src, n, h in zip(s["source"], s["n_pages"], s["input_hash"])}
 
 
-def test_input_summary_matches_read_parquet_scan(fixture_sf0001, tmp_path, monkeypatch):
+def test_input_summary_matches_read_parquet_scan(fixture_sf0001, tmp_path):
     """Page files with 7-row row groups, a nested subdirectory, and
     ``_SUCCESS`` and ``.hidden`` files scan to the summary a
-    ``rd.read_parquet`` scan gives, also when every file is read in
-    several batches."""
+    ``rd.read_parquet`` scan gives."""
     import pyarrow.parquet as pq
-    from ray.data import DataContext
 
     fx = str(tmp_path / "fx")
     _page_fixture(fixture_sf0001, fx, 0)
@@ -158,8 +156,6 @@ def test_input_summary_matches_read_parquet_scan(fixture_sf0001, tmp_path, monke
         f.write("not parquet")
     oracle = _oracle_scan(fx)
     assert len(oracle) == 20 and sum(n for n, _ in oracle.values()) == 500
-    assert _as_sums(cp.input_summary(fx)) == oracle
-    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 20_000)
     assert _as_sums(cp.input_summary(fx)) == oracle
 
 
@@ -287,22 +283,28 @@ def test_manifest_gc_oldest_first_bounded(tmp_out):
     assert mf.load_manifest(tmp_out, "src3") is not None
 
 
-def test_manifest_gc_deletes_listed_files_of_quoted_source(tmp_out):
-    """GC removes the files a manifest lists under the quoted hive dir
-    the commit writes (``a:b`` → ``graph=a%3Ab``), then the emptied dir;
-    other sources' files stay."""
+def test_manifest_gc_deletes_quoted_source_dir(tmp_out):
+    """GC removes the quoted hive dir the commit writes (``a:b`` →
+    ``graph=a%3Ab``) whole: the files its manifest lists, files no
+    manifest lists (a crashed run's part file, an orphaned ``*.tmp``),
+    and the dir of a manifest written before manifests listed
+    ``files``; other sources' files stay."""
     data = os.path.join(tmp_out, "data")
-    for src in ("a:b", "c d"):
+    for src in ("a:b", "e/f", "c d"):
         rel = f"graph={quote(src, safe='')}/part-0.parquet"
         os.makedirs(os.path.dirname(os.path.join(data, rel)))
         open(os.path.join(data, rel), "wb").close()
-        mf.write_manifest(tmp_out, src, {"input_hash": "h", "files": [rel]})
+        m = {"input_hash": "h"} if src == "e/f" else {"input_hash": "h", "files": [rel]}
+        mf.write_manifest(tmp_out, src, m)
+    for stray in ("part-1.parquet", "part-0.parquet.0123abcd.tmp"):
+        open(os.path.join(data, "graph=a%3Ab", stray), "wb").close()
     now = mf.load_manifest(tmp_out, "c d")["written_at"] + 100
-    m = mf.load_manifest(tmp_out, "a:b")
-    m["written_at"] = 0.0
-    with open(mf.manifest_path(tmp_out, "a:b"), "w") as f:
-        json.dump(m, f)
-    assert mf.gc_manifests(tmp_out, max_age_s=1000, now=now) == ["a:b"]
+    for src, ts in (("a:b", 0.0), ("e/f", 1.0)):
+        m = mf.load_manifest(tmp_out, src)
+        m["written_at"] = ts
+        with open(mf.manifest_path(tmp_out, src), "w") as f:
+            json.dump(m, f)
+    assert mf.gc_manifests(tmp_out, max_age_s=1000, now=now) == ["a:b", "e/f"]
     assert os.listdir(data) == ["graph=c%20d"]
     assert os.listdir(os.path.join(data, "graph=c%20d")) == ["part-0.parquet"]
 

@@ -379,6 +379,18 @@ def test_local_fs_concurrent_puts_of_one_path(tmp_path):
     assert os.listdir(os.path.dirname(path)) == ["part-x.parquet"]
 
 
+def test_local_fs_failed_put_leaves_no_tmp(tmp_path):
+    """A put whose write fails raises and removes its staging file."""
+    from scheduler_ray.state.fs import LocalFS
+
+    path = str(tmp_path / "graph=a" / "part-x.parquet")
+    with pytest.raises(TypeError):
+        LocalFS().put_bytes(path, "not bytes")
+    with pytest.raises(Exception):
+        LocalFS().put_table("not a table", path)
+    assert os.listdir(os.path.dirname(path)) == []
+
+
 def _pair_table(nodes, roots):
     from scheduler_ray.stages.canonicalize import _hash_large_string
 

@@ -180,6 +180,28 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from scheduler_ray.pipelines import queries as q
 
     return {
+        # queries without a recorded gate row first, so a gate that
+        # stops after its first N queries still reaches them
+        "text_repetition": q.q_text_repetition,
+        "text_langid": q.q_text_langid,
+        "text_fingerprint": q.q_text_fingerprint,
+        "ann_topk": q.q_ann_topk,
+        "ann_lsh": q.q_ann_lsh,
+        "ann_ivf": q.q_ann_ivf,
+        "embed_neardup": q.q_embed_neardup,
+        "embed_neardup_groups": q.q_embed_neardup_groups,
+        "curation_pipeline": q.q_curation_pipeline,
+        "label_counts": q.q_label_counts,
+        "label_centroids": q.q_label_centroids,
+        "feature_table": q.q_feature_table,
+        "feature_table_grouped": q.q_feature_table_grouped,
+        "feature_mercator": q.q_feature_mercator,
+        "kg_index_lookup": q.q_kg_index_lookup,
+        "spatial_join": q.q_spatial_join,
+        "polygon_join": q.q_polygon_join,
+        "mm_metadata": q.q_mm_metadata,
+        "event_props": q.q_event_props,
+        "kg_error_metrics": q.q_kg_error_metrics,
         # knowledge-graph construction (SURVEY.md §2 core path)
         "kg_extract": _q_kg_extract,
         "kg_sources": _q_kg_sources,
@@ -234,28 +256,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # text analysis
         "text_tokens": q.q_text_tokens,
         "text_quality": q.q_text_quality,
-        "text_repetition": q.q_text_repetition,
-        "text_langid": q.q_text_langid,
-        "text_fingerprint": q.q_text_fingerprint,
-        # similarity / embeddings
-        "ann_topk": q.q_ann_topk,
-        "ann_lsh": q.q_ann_lsh,
-        "ann_ivf": q.q_ann_ivf,
-        "embed_neardup": q.q_embed_neardup,
-        "embed_neardup_groups": q.q_embed_neardup_groups,
-        "curation_pipeline": q.q_curation_pipeline,
-        "label_counts": q.q_label_counts,
-        "label_centroids": q.q_label_centroids,
-        # exports / spatial / multimodal
-        "feature_table": q.q_feature_table,
-        "feature_table_grouped": q.q_feature_table_grouped,
-        "feature_mercator": q.q_feature_mercator,
-        "kg_index_lookup": q.q_kg_index_lookup,
-        "spatial_join": q.q_spatial_join,
-        "polygon_join": q.q_polygon_join,
-        "mm_metadata": q.q_mm_metadata,
-        "event_props": q.q_event_props,
-        "kg_error_metrics": q.q_kg_error_metrics,
     }
 
 

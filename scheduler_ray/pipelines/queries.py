@@ -42,6 +42,11 @@ def _ones(t: pa.Table) -> np.ndarray:
     return np.ones(t.num_rows, np.int64)
 
 
+def _epoch_us(t: pa.Table) -> np.ndarray:
+    """``t["ts"]`` as int64 epoch microseconds."""
+    return pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()).to_numpy()
+
+
 def _doc_tokens(t: pa.Table) -> pa.Table:
     """``(doc_id, t)`` for every non-empty space-separated token of each
     document's text (SQL ``unnest(string_split(text, ' '))``)."""
@@ -127,10 +132,8 @@ GROUP BY c_mktsegment
 
 def q_nation_region(sf_dir: str):
     nation = _read(sf_dir, "nation")
-    region = _read(sf_dir, "region").to_pandas()
-    out = rel.broadcast_join(
-        nation, region.rename(columns={"r_regionkey": "n_regionkey"}), on="n_regionkey"
-    )
+    region = _read(sf_dir, "region")
+    out = rel.join_auto(nation, region, on="n_regionkey", right_on="r_regionkey")
     return out.select_columns(["n_name", "r_name"])
 
 
@@ -245,16 +248,12 @@ def q_filter_revenue(sf_dir: str):
     """Vectorized filter + computed projection (M9/F-series pattern)."""
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
-    def f(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["l_discount"] > 0.05]
-        return pd.DataFrame(
-            {
-                "l_orderkey": b["l_orderkey"],
-                "revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
-            }
-        )
+    def f(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.greater(t["l_discount"], 0.05))
+        revenue = pc.multiply(t["l_extendedprice"], pc.subtract(1, t["l_discount"]))
+        return pa.table({"l_orderkey": t["l_orderkey"], "revenue": revenue})
 
-    return ds.map_batches(f, batch_format="pandas")
+    return ds.map_batches(f, batch_format="pyarrow")
 
 
 SQL_FILTER_REVENUE = """
@@ -426,8 +425,7 @@ def q_event_window_distinct(sf_dir: str):
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def tag(t: pa.Table) -> pa.Table:
-        epoch = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64()).to_numpy()
-        window = (epoch // 1_000_000) // 3600
+        window = (_epoch_us(t) // 1_000_000) // 3600
         return pa.table(
             {"user_id": t["user_id"], "window": window, "event_type": t["event_type"]}
         )
@@ -456,15 +454,15 @@ def q_events_asof(sf_dir: str):
     (max value) so the match is deterministic on both engines."""
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
-    def clicks(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["event_type"] == "click"][["event_id", "user_id", "ts"]]
+    def clicks(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["event_type"], "click")).select(["event_id", "user_id", "ts"])
 
-    def purchases(b: pd.DataFrame) -> pd.DataFrame:
-        return b[b["event_type"] == "purchase"][["user_id", "ts", "value"]]
+    def purchases(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["event_type"], "purchase")).select(["user_id", "ts", "value"])
 
-    left = ev.map_batches(clicks, batch_format="pandas")
+    left = ev.map_batches(clicks, batch_format="pyarrow")
     right = sorted_agg_by(
-        ev.map_batches(purchases, batch_format="pandas"),
+        ev.map_batches(purchases, batch_format="pyarrow"),
         ["user_id", "ts"],
         {"value": "max"},
     )
@@ -494,29 +492,21 @@ def q_events_range_join(sf_dir: str):
     size-gated ``join_auto``)."""
     ev = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
 
-    def pts(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["event_type"] == "purchase"]
-        return pd.DataFrame(
-            {
-                "event_id": b["event_id"].to_numpy(),
-                "ts_us": b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64),
-            }
-        )
+    def of_type(t: pa.Table, event_type: str) -> "tuple[pa.Array, np.ndarray]":
+        t = t.filter(pc.equal(t["event_type"], event_type))
+        return t["event_id"], _epoch_us(t)
 
-    def ivs(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["event_type"] == "error"]
-        su = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pd.DataFrame(
-            {
-                "outage_id": b["event_id"].to_numpy(),
-                "start_us": su,
-                "end_us": su + 600_000_000,
-            }
-        )
+    def pts(t: pa.Table) -> pa.Table:
+        event_id, ts_us = of_type(t, "purchase")
+        return pa.table({"event_id": event_id, "ts_us": ts_us})
+
+    def ivs(t: pa.Table) -> pa.Table:
+        outage_id, su = of_type(t, "error")
+        return pa.table({"outage_id": outage_id, "start_us": su, "end_us": su + 600_000_000})
 
     out = rel.interval_join(
-        ev.map_batches(pts, batch_format="pandas"),
-        ev.map_batches(ivs, batch_format="pandas"),
+        ev.map_batches(pts, batch_format="pyarrow"),
+        ev.map_batches(ivs, batch_format="pyarrow"),
         ts_col="ts_us",
         start_col="start_us",
         end_col="end_us",
@@ -637,8 +627,9 @@ def _docs_with_near_dups(sf_dir: str, mod: int, suffix: str | None, min_chars: i
 
 def q_dedup_exact(sf_dir: str):
     """Exact dedup: smallest doc_id per identical text (D1 semantics)."""
-    out = dd.exact_dedup(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas()
-    return pd.DataFrame({"doc_id": np.sort(out["doc_id"].to_numpy())})
+    return dd.exact_dedup(_read(sf_dir, "documents", ["doc_id", "text"])).select_columns(
+        ["doc_id"]
+    )
 
 
 SQL_DEDUP_EXACT = "SELECT MIN(doc_id) AS doc_id FROM documents GROUP BY text"
@@ -1103,8 +1094,7 @@ def q_curation_pipeline(sf_dir: str):
         return b.loc[mask, ["doc_id", "text"]]
 
     survivors = docs.map_batches(keep, batch_format="pandas")
-    out = dd.exact_dedup(survivors).to_pandas()
-    return pd.DataFrame({"doc_id": np.sort(out["doc_id"].to_numpy())})
+    return dd.exact_dedup(survivors).select_columns(["doc_id"])
 
 
 SQL_CURATION_PIPELINE = r"""
@@ -1574,24 +1564,21 @@ def q_doc_tfidf_top(sf_dir: str):
     ).materialize()
     joined = rel.join_auto(tf, rel.count_by(tf, ["t"], "df"), on="t")
 
-    def add_rank(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["rank"] = b["tf"].astype("int64") * (n_docs + 1) - b["df"].astype("int64")
-        return b
+    def add_rank(t: pa.Table) -> pa.Table:
+        tf, df = (t[c].to_numpy().astype(np.int64) for c in ("tf", "df"))
+        return t.append_column("rank", pa.array(tf * (n_docs + 1) - df))
 
-    ranked = joined.map_batches(add_rank, batch_format="pandas")
+    ranked = joined.map_batches(add_rank, batch_format="pyarrow")
     top = rel.topk_per_group(ranked, "doc_id", "rank", 3, tiebreak="t")
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        tfv = b["tf"].to_numpy(np.float64)
-        dfv = b["df"].to_numpy(np.float64)
-        out = b[["doc_id", "t"]].copy()
-        out["tf"] = b["tf"].astype("int64")
-        out["df"] = b["df"].astype("int64")
-        out["tfidf"] = np.round(tfv * np.log(n_docs / dfv), 6)
-        return out
+    def finish(t: pa.Table) -> pa.Table:
+        tf, df = (t[c].to_numpy().astype(np.int64) for c in ("tf", "df"))
+        tfidf = np.round(tf.astype(np.float64) * np.log(n_docs / df.astype(np.float64)), 6)
+        return pa.table(
+            {"doc_id": t["doc_id"], "t": t["t"], "tf": tf, "df": df, "tfidf": tfidf}
+        )
 
-    return top.map_batches(finish, batch_format="pandas")
+    return top.map_batches(finish, batch_format="pyarrow")
 
 
 SQL_DOC_TFIDF_TOP = """
@@ -1621,10 +1608,12 @@ def q_doc_filter_median(sf_dir: str):
     med = rel.quantile_per_group(docs, "source", "n_chars", 0.5, out_col="m")
     joined = rel.join_auto(docs, med, on="source")
 
-    def filt(b: pd.DataFrame) -> pd.DataFrame:
-        return b.loc[b["n_chars"] >= b["m"], ["doc_id", "source", "n_chars"]]
+    def filt(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["n_chars"], t["m"])).select(
+            ["doc_id", "source", "n_chars"]
+        )
 
-    return joined.map_batches(filt, batch_format="pandas")
+    return joined.map_batches(filt, batch_format="pyarrow")
 
 
 SQL_DOC_FILTER_MEDIAN = """
@@ -1712,12 +1701,13 @@ def q_event_corr(sf_dir: str):
     verified exact over all 150 sf0.01 users before wiring)."""
     ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["ts"].to_numpy("datetime64[us]").astype("int64") / 1e6 - _CORR_EPOCH_C
-        return pd.DataFrame({"user_id": b["user_id"], "value": b["value"], "t": t})
+    def prep(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"user_id": t["user_id"], "value": t["value"], "t": _epoch_us(t) / 1e6 - _CORR_EPOCH_C}
+        )
 
     return rel.corr_per_group(
-        ev.map_batches(prep, batch_format="pandas"), "user_id", "value", "t", out_col="corr_vt"
+        ev.map_batches(prep, batch_format="pyarrow"), "user_id", "value", "t", out_col="corr_vt"
     )
 
 
@@ -1738,18 +1728,20 @@ def q_event_lag_delta(sf_dir: str):
         ev, "user_id", ["ts", "event_id"], "value", out_col="prev_value"
     )
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["prev_value"].notna()]
-        return pd.DataFrame(
+    def finish(t: pa.Table) -> pa.Table:
+        prev = t["prev_value"].to_numpy()
+        keep = ~np.isnan(prev)
+        t, prev = t.filter(pa.array(keep)), prev[keep]
+        return pa.table(
             {
-                "event_id": b["event_id"],
-                "user_id": b["user_id"],
-                "prev_value": np.round(b["prev_value"], 6),
-                "delta": np.round(b["value"] - b["prev_value"], 6),
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "prev_value": np.round(prev, 6),
+                "delta": np.round(t["value"].to_numpy() - prev, 6),
             }
         )
 
-    return lagged.map_batches(finish, batch_format="pandas")
+    return lagged.map_batches(finish, batch_format="pyarrow")
 
 
 SQL_EVENT_LAG_DELTA = """

@@ -614,24 +614,28 @@ def simhash_dataset(docs: Dataset) -> Dataset:
     return docs.map_batches(simhash_batch, batch_format="pandas")
 
 
+def simhash_chunks(t: pa.Table) -> pa.Table:
+    """One ``(chunk, chunk_val, doc_id, simhash)`` row per 16-bit chunk
+    of each row's simhash, typed int32 / uint64 / doc_id's type / uint64
+    even for a zero-row table (an untyped empty block would make the
+    exchange see two schemas)."""
+    h = t["simhash"].to_numpy().astype(np.uint64)
+    chunks = [(h >> np.uint64(16 * c)) & np.uint64(0xFFFF) for c in range(4)]
+    idx = np.tile(np.arange(t.num_rows), 4)
+    return pa.table(
+        {
+            "chunk": pa.array(np.repeat(np.arange(4, dtype=np.int32), t.num_rows)),
+            "chunk_val": pa.array(np.concatenate(chunks)),
+            "doc_id": t["doc_id"].take(idx),
+            "simhash": pa.array(h[idx]),
+        }
+    )
+
+
 def simhash_near_pairs(docs: Dataset, max_hamming: int = 3) -> Dataset:
     """Near-dup pairs by simhash hamming distance, bucketed on 4 16-bit
     chunks (a pair within hamming≤3 must agree on ≥1 chunk — pigeonhole)."""
-    sims = simhash_dataset(docs)
-
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        h = batch["simhash"].to_numpy(np.uint64)
-        for c in range(4):
-            chunk = (h >> np.uint64(16 * c)) & np.uint64(0xFFFF)
-            outs.append(
-                pd.DataFrame(
-                    {"chunk": np.int32(c), "chunk_val": chunk, "doc_id": batch["doc_id"], "simhash": h}
-                )
-            )
-        return pd.concat(outs, ignore_index=True)
-
-    exploded = sims.map_batches(explode, batch_format="pandas")
+    exploded = simhash_dataset(docs).map_batches(simhash_chunks, batch_format="pyarrow")
 
     def pairs(g: pa.Table) -> pa.Table:
         # hot 16-bit-chunk buckets get the same sorted-chunk cap as the

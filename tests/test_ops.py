@@ -155,8 +155,8 @@ def test_lsh_ann_topk_streaming_matches_candidates():
 
 def test_broadcast_and_semi_join():
     big = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3, 4], "v": "a b c d".split()}))
-    small = pd.DataFrame({"k": [2, 4], "name": ["two", "four"]})
-    out = rel.broadcast_join(big, small, on="k").to_pandas().sort_values("k")
+    small = rd.from_pandas(pd.DataFrame({"k": [2, 4], "name": ["two", "four"]}))
+    out = rel.join_auto(big, small, on="k").to_pandas().sort_values("k")
     assert list(out["name"]) == ["two", "four"]
     anti = rel.semi_join(big, np.array([2, 4]), on="k", anti=True).to_pandas()
     assert sorted(anti["k"]) == [1, 3]
@@ -1180,7 +1180,10 @@ def test_narrow_i32_bounds_check():
 def test_join_auto_partitioned_matches_broadcast():
     """join_auto with a forced ceiling of 1 (partitioned Dataset.join path)
     must produce exactly the broadcast path's rows and schema — mirrors
-    kg_canonical_joined's broadcast/distributed equivalence pattern."""
+    kg_canonical_joined's broadcast/distributed equivalence pattern.
+    Null keys on both sides match nothing on either path, as in DuckDB's
+    inner join."""
+    import duckdb
     import numpy as np
     import ray.data as rd
 
@@ -1188,10 +1191,16 @@ def test_join_auto_partitioned_matches_broadcast():
 
     rng = np.random.default_rng(7)
     big = pd.DataFrame(
-        {"o_custkey": rng.integers(0, 40, 500), "o_totalprice": rng.random(500) * 100}
+        {
+            "o_custkey": pd.array(list(rng.integers(0, 40, 500)) + [None] * 7, "Int64"),
+            "o_totalprice": rng.random(507) * 100,
+        }
     )
     dim = pd.DataFrame(
-        {"c_custkey": np.arange(40), "c_mktsegment": [f"seg{i % 5}" for i in range(40)]}
+        {
+            "c_custkey": pd.array(list(range(40)) + [None, None], "Int64"),
+            "c_mktsegment": [f"seg{i % 5}" for i in range(42)],
+        }
     )
     big_ds = rd.from_pandas(big).repartition(6)
     dim_ds = rd.from_pandas(dim).repartition(3)
@@ -1207,13 +1216,22 @@ def test_join_auto_partitioned_matches_broadcast():
     b = bcast[cols].sort_values(cols).reset_index(drop=True)
     p = part[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(b, p)
+    want = duckdb.sql(
+        "SELECT o_custkey, o_totalprice, c_mktsegment FROM big JOIN dim ON o_custkey = c_custkey"
+    ).df()
+    assert len(b) == len(want) == 500
+    w = want[cols].sort_values(cols).reset_index(drop=True)
+    pd.testing.assert_frame_equal(b, w, check_dtype=False)
 
 
 def test_semi_join_auto_partitioned_matches_broadcast():
     """semi_join_auto with a forced ceiling of 1 (distributed marker-join
-    path) must produce exactly the broadcast isin path's rows, for both
+    path) must produce exactly the broadcast is_in path's rows, for both
     semi and anti, including duplicate keys on the key side (which must
-    NOT fan out big-side rows)."""
+    NOT fan out big-side rows).  Null keys on both sides match nothing:
+    a null-key row fails the semi join and passes the anti join, as in
+    DuckDB's EXISTS / NOT EXISTS."""
+    import duckdb
     import numpy as np
     import ray.data as rd
 
@@ -1221,10 +1239,13 @@ def test_semi_join_auto_partitioned_matches_broadcast():
 
     rng = np.random.default_rng(3)
     big = pd.DataFrame(
-        {"url": [f"u{i % 50}" for i in range(400)], "v": rng.integers(0, 100, 400)}
+        {
+            "url": [f"u{i % 50}" if i % 37 else None for i in range(400)],
+            "v": rng.integers(0, 100, 400),
+        }
     )
     # duplicated keys on purpose
-    keys = pd.DataFrame({"url": [f"u{i}" for i in list(range(0, 30)) * 3]})
+    keys = pd.DataFrame({"url": [f"u{i}" for i in list(range(0, 30)) * 3] + [None, None]})
     big_ds = rd.from_pandas(big).repartition(5)
     keys_ds = rd.from_pandas(keys).repartition(3)
 
@@ -1238,6 +1259,78 @@ def test_semi_join_auto_partitioned_matches_broadcast():
         b = bcast[cols].sort_values(cols).reset_index(drop=True)
         p = part[cols].sort_values(cols).reset_index(drop=True)
         pd.testing.assert_frame_equal(b, p), anti
+        want = duckdb.sql(
+            f"SELECT url, v FROM big WHERE {'NOT' if anti else ''} EXISTS "
+            "(SELECT 1 FROM keys WHERE keys.url = big.url)"
+        ).df()
+        w = want[cols].sort_values(cols).reset_index(drop=True)
+        pd.testing.assert_frame_equal(b, w, check_dtype=False), anti
+        assert b["url"].isna().sum() == (11 if anti else 0), anti
+
+
+def test_lookup_rows_many_to_many_matches_reference():
+    """The lookup-join kernel, without Ray: many-to-many key runs equal
+    the O(n²) cross-product reference, a list-typed payload rides along,
+    null keys match nothing, and an empty probe block or a zero-row
+    small side gives zero rows in the joined schema."""
+    rng = np.random.RandomState(5)
+    big = pa.table(
+        {"k": pa.array(list(rng.randint(0, 12, 300)) + [None] * 4), "pid": np.arange(304)}
+    )
+    small = pa.table(
+        {
+            "k": pa.array(list(rng.randint(0, 15, 80)) + [None] * 3),
+            "iid": np.arange(83),
+            "tags": [[i, i + 1] for i in range(83)],
+        }
+    )
+    side = rel.lookup_side(small, "k")
+    got = rel.lookup_rows(big, side, "k")
+    assert got.column_names == ["k", "pid", "iid", "tags"]
+    assert got.schema.field("tags").type == pa.list_(pa.int64())
+
+    want = big.to_pandas().merge(small.to_pandas(), how="cross")
+    want = want[want["k_x"].notna() & (want["k_x"] == want["k_y"])]
+    want = want.sort_values(["pid", "iid"]).reset_index(drop=True)
+    g = got.to_pandas().sort_values(["pid", "iid"]).reset_index(drop=True)
+    assert len(g) == len(want) > 304  # runs repeat probe rows
+    assert (g[["pid", "iid"]].to_numpy() == want[["pid", "iid"]].to_numpy()).all()
+    assert [t[0] for t in g["tags"]] == want["iid"].tolist()
+
+    empty_probe = rel.lookup_rows(big.slice(0, 0), side, "k")
+    assert empty_probe.num_rows == 0 and empty_probe.schema == got.schema
+    no_small = rel.lookup_rows(big, rel.lookup_side(small.slice(0, 0), "k"), "k")
+    assert no_small.num_rows == 0 and no_small.schema == got.schema
+
+
+def test_join_auto_rejects_overlapping_columns():
+    """join_auto renames nothing: a non-key column on both sides raises
+    ValueError before either path runs; interval_join inherits it."""
+    big = rd.from_pandas(pd.DataFrame({"k": [1, 2], "v": [1.0, 2.0]}))
+    small = rd.from_pandas(pd.DataFrame({"kk": [1, 2], "v": [3.0, 4.0]}))
+    for ceiling in (None, 1):
+        with pytest.raises(ValueError, match=r"\['v'\]"):
+            rel.join_auto(big, small, on="k", right_on="kk", broadcast_max_rows=ceiling)
+    pts = rd.from_pandas(pd.DataFrame({"t": [1, 5], "s": [0, 0]}))
+    ivs = rd.from_pandas(pd.DataFrame({"s": [0], "e": [9]}))
+    with pytest.raises(ValueError, match=r"\['s'\]"):
+        rel.interval_join(pts, ivs, ts_col="t", start_col="s", end_col="e", bin_width=4)
+
+
+def test_simhash_chunks_typed_on_zero_rows():
+    """simhash_near_pairs' explode keeps its four column types on a
+    zero-row block, so the chunk exchange never sees two schemas."""
+    empty = pa.table({"doc_id": pa.array([], pa.int64()), "simhash": pa.array([], pa.uint64())})
+    out = dd.simhash_chunks(empty)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema(
+        [("chunk", pa.int32()), ("chunk_val", pa.uint64()), ("doc_id", pa.int64()), ("simhash", pa.uint64())]
+    )
+    one = pa.table({"doc_id": [7], "simhash": pa.array([0x0004000300020001], pa.uint64())})
+    full = dd.simhash_chunks(one)
+    assert full.schema == out.schema
+    assert full["chunk_val"].to_pylist() == [1, 2, 3, 4]
+    assert full["chunk"].to_pylist() == [0, 1, 2, 3]
 
 
 def test_shacl_property_paths():

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 #: the env prefix ``from_env`` reads
 ENV_PREFIX = "SCHEDULER_RAY_"
 
-SORT_MODES = ("local", "global")
-
 
 @dataclass
 class PipelineConfig:
@@ -40,13 +38,6 @@ class PipelineConfig:
     #: validate documents against the SHACL-subset shapes during expansion
     #: (single parse; the reference's validate-during-harvest contract)
     validate_docs: bool = True
-    #: materialize with an out_dir: "local" = the single-pass streaming
-    #: writer (pipelines/streaming.py) — hive partitioning by pred with
-    #: each FILE internally (pred,subj)-sorted, no all-to-all; files within
-    #: a pred dir are NOT range-partitioned by subj.  "global" = the
-    #: two-pass canonical triples under Ray's total sort — a true
-    #: range-partitioned sorted materialize — before the partitioned write.
-    sort_mode: str = "local"
     #: file-level resume for the single-pass writer: elide puts whose
     #: content-named target already exists (a crashed run's surviving
     #: files are byte-identical by construction).  Off by default so a
@@ -68,9 +59,8 @@ class PipelineConfig:
 
         Recognized vars: ``SCHEDULER_RAY_<FIELD>`` for every scalar
         dataclass field, e.g. ``SCHEDULER_RAY_EXTRACT_BATCH_SIZE=2048``,
-        ``SCHEDULER_RAY_VALIDATE_DOCS=false``, ``SCHEDULER_RAY_SORT_MODE=
-        global``.  Any other ``SCHEDULER_RAY_*`` variable (a typo, or a
-        removed field) raises ``ValueError``.
+        ``SCHEDULER_RAY_VALIDATE_DOCS=false``.  Any other ``SCHEDULER_RAY_*``
+        variable (a typo, or a removed field) raises ``ValueError``.
         """
         import dataclasses
         import os as _os
@@ -96,8 +86,6 @@ class PipelineConfig:
                 kwargs[name] = env_int(raw, 0) or (None if f.type == "int | None" else 0)
             elif f.type == "bool":
                 kwargs[name] = env_bool(raw)
-            elif f.type in ("str", "str | None"):
-                kwargs[name] = raw or None
             else:
                 raise ValueError(f"env override not supported for field {name}")
         return cls(**kwargs).validate()
@@ -107,8 +95,4 @@ class PipelineConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.sort_mode not in SORT_MODES:
-            raise ValueError(
-                f"sort_mode must be one of {SORT_MODES}, got {self.sort_mode!r}"
-            )
         return self

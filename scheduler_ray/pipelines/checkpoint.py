@@ -155,11 +155,19 @@ def run_checkpointed(
     """Run (or resume) the flagship pipeline with per-partition manifests.
 
     Returns a summary {"completed": [...], "skipped": [...], "failed": []}.
+    Two sources whose partition ids sanitize alike raise ``ValueError``
+    before anything is written.
     """
     cfg = cfg or PipelineConfig()
-    os.makedirs(out_dir, exist_ok=True)
     summary = input_summary(fixture_dir)
     hashes = dict(zip(summary["source"], summary["input_hash"]))
+    # two sources with one sanitized id would share one manifest
+    ids: dict[str, str] = {}
+    for src in sorted(hashes):
+        pid = mf.sanitize_partition_id(src)
+        if ids.setdefault(pid, src) != src:
+            raise ValueError(f"sources {ids[pid]!r} and {src!r} share the partition id {pid!r}")
+    os.makedirs(out_dir, exist_ok=True)
     rows_in = dict(zip(summary["source"], summary["n_pages"]))
     done = mf.completed_partitions(out_dir, hashes)
     pending = [s for s in sorted(hashes) if s not in done]

@@ -8,19 +8,17 @@ One Ray Data program replacing the reference's three Dagster jobs
       → expand_stage           (M3: JSON-LD → (subj,pred,obj,lit,graph))
       → link_stage             (J1/J2: broadcast PID registry)
 
-then, with an ``out_dir`` (the default ``sort_mode="local"``), ONE
-streaming pass (pipelines/streaming.py): per-block local sameAs
-canonicalization + dedup + (pred, subj)-sorted hive write, a worker-side
-pair merge into the global LUT, and a fixup of only the files a
-cross-batch chain touches.  Without an ``out_dir`` (or with
-``sort_mode="global"``) the two-pass path runs:
+then, with an ``out_dir``, ONE streaming pass (pipelines/streaming.py):
+per-block local sameAs canonicalization + dedup + (pred, subj)-sorted
+hive write, a worker-side pair merge into the global LUT, a fixup of only
+the files a cross-batch chain touches, and the ``_MANIFEST.json`` commit.
+Without an ``out_dir`` the two-pass path runs:
 
       → materialize()
       → collect_sameas_edges   (D4: per-batch union-find combiner)
       → lut_ref_from_edges     (worker-side pair merge → LUT ObjectRef)
       → canonicalize_stage     (A1: broadcast vectorized rewrite + D5
                                 local pre-dedup)
-      → [sort(pred, subj) → write_parquet(partition_cols=[pred])]
 
 The triple stream is consumed twice (once to collect the sameAs edge
 summary, once to rewrite), so it is materialized in the object store
@@ -134,15 +132,15 @@ def link_tables(fixture_dir: str) -> "tuple[str | pd.DataFrame, pd.DataFrame]":
 
 
 def read_graph(out_dir: str, fs=None) -> Dataset:
-    """Read a written graph back with the exact TRIPLE_SCHEMA dtypes (hive
-    partition columns come back as plain string — recast).
+    """Read a committed graph back with the exact TRIPLE_SCHEMA dtypes.
 
-    Manifest-aware (round-3 advice): when a commit manifest exists, ONLY
-    the files it names are read — uncommitted garbage from a crashed
-    fixup/compaction window (old + new file both on disk) is invisible,
-    matching the writer's commit protocol.  The ``pred`` hive value is
-    reconstructed from each file's path (explicit file lists bypass
-    pyarrow's hive inference).
+    Only the files the commit manifest names are read — uncommitted
+    garbage from a crashed fixup/compaction window (old + new file both
+    on disk) is invisible, matching the writer's commit protocol.  A dir
+    without ``_MANIFEST.json`` holds no committed graph and raises
+    ``FileNotFoundError``.  The ``pred`` hive value is reconstructed from
+    each file's path (explicit file lists bypass pyarrow's hive
+    inference).
 
     ``fs`` selects the filesystem seam the graph was written through
     (default LocalFS): the commit manifest is read via the seam, and an
@@ -150,91 +148,61 @@ def read_graph(out_dir: str, fs=None) -> Dataset:
     pyarrow filesystem — the full write→commit→read round trip runs on
     a pure object store with no local-path assumption."""
     from ..stages.expand import TRIPLE_SCHEMA
-    from ..state.fs import FsspecFS, LocalFS, read_commit_manifest
+    from ..state.fs import LocalFS, read_commit_manifest
 
     fs = fs or LocalFS()
-    pa_fs = None
-    if isinstance(fs, FsspecFS):
-        from pyarrow.fs import FSSpecHandler, PyFileSystem
-
-        pa_fs = PyFileSystem(FSSpecHandler(fs.fs))
     man = read_commit_manifest(fs, out_dir)
-    if man is not None:
-        # two blocks with identical content share a stem → the manifest
-        # can name one physical file twice; read each file once
-        paths = list(dict.fromkeys(os.path.join(out_dir, f) for f in man["files"]))
-        if not paths:
-            return rd.from_arrow(TRIPLE_SCHEMA.empty_table())
-        # Manifest-driven DIRECT read: the commit manifest already names
-        # every live file, so there is nothing for Ray's parquet
-        # datasource to discover — its per-fragment stat + footer
-        # prefetch + sampling costs ~0.5 ms/file ON THE DRIVER (seconds
-        # at thousands of files; at 100-TB output scale, millions of
-        # files, it would be the bottleneck of every downstream read).
-        # Instead the file list is sharded into groups and each read
-        # task opens its own files with pyarrow directly; the hive pred
-        # value is reconstructed from each file's directory name.
-        group = 32
-        shards = [paths[i : i + group] for i in range(0, len(paths), group)]
-        seam = fs
+    # write_commit_manifest lists each file once, even when two blocks of
+    # identical content shared a stem
+    paths = [os.path.join(out_dir, f) for f in man["files"]]
+    if not paths:
+        return rd.from_arrow(TRIPLE_SCHEMA.empty_table())
+    # Manifest-driven DIRECT read: the commit manifest already names every
+    # live file, so there is nothing for Ray's parquet datasource to
+    # discover — its per-fragment stat + footer prefetch + sampling costs
+    # ~0.5 ms/file ON THE DRIVER (seconds at thousands of files; at 100-TB
+    # output scale, millions of files, it would be the bottleneck of every
+    # downstream read).  Instead the file list is sharded into groups and
+    # each read task opens its own files with pyarrow directly; the hive
+    # pred value is reconstructed from each file's directory name.
+    group = 32
+    shards = [paths[i : i + group] for i in range(0, len(paths), group)]
+    seam = fs
 
-        def read_shard(b: pa.Table):
-            from urllib.parse import unquote
-
-            import os as _os
-
-            import pyarrow.parquet as pq
-
-            from ..state.fs import FsspecFS as _F
-
-            shard_fs = None
-            if isinstance(seam, _F):
-                from pyarrow.fs import FSSpecHandler, PyFileSystem
-
-                shard_fs = PyFileSystem(FSSpecHandler(seam.fs))
-            for group_paths in b["paths"].to_pylist():
-                parts = []
-                for p in group_paths:
-                    t = pq.read_table(p, filesystem=shard_fs)
-                    hive = _os.path.basename(_os.path.dirname(p))
-                    if "pred" not in t.column_names and hive.startswith("pred="):
-                        pred = pa.array(
-                            [unquote(hive[len("pred="):])] * t.num_rows,
-                            pa.large_string(),
-                        )
-                        t = t.append_column("pred", pred)
-                    parts.append(t.select(list(TRIPLE_SCHEMA.names)).cast(TRIPLE_SCHEMA))
-                if parts:
-                    yield pa.concat_tables(parts)
-
-        return rd.from_items(
-            [{"paths": s} for s in shards], override_num_blocks=len(shards)
-        ).map_batches(
-            read_shard, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
-    else:
-        ds = rd.read_parquet(out_dir, filesystem=pa_fs)
-
-    def cast(t: pa.Table) -> pa.Table:
+    def read_shard(b: pa.Table):
         from urllib.parse import unquote
 
-        import pyarrow.compute as pc
+        import os as _os
 
-        cols = {f.name: pc.cast(t[f.name], f.type) for f in TRIPLE_SCHEMA}
-        # Ray's write_parquet percent-encodes hive partition values
-        # (rdf:type → rdf%3Atype) and the reader keeps them encoded —
-        # decode via the tiny unique set
-        pred = cols["pred"]
-        uniq = pc.unique(pred)
-        if any("%" in (u or "") for u in uniq.to_pylist()):
-            decoded = pa.array([unquote(u) for u in uniq.to_pylist()], pa.large_string())
-            pred = pc.take(decoded, pc.index_in(pred, value_set=uniq))
-            cols["pred"] = pc.cast(pred, pa.large_string())
-        return pa.Table.from_arrays(
-            [cols[f.name] for f in TRIPLE_SCHEMA], schema=TRIPLE_SCHEMA
-        )
+        import pyarrow.parquet as pq
 
-    return ds.map_batches(cast, batch_format="pyarrow", zero_copy_batch=True)
+        from ..state.fs import FsspecFS as _F
+
+        shard_fs = None
+        if isinstance(seam, _F):
+            from pyarrow.fs import FSSpecHandler, PyFileSystem
+
+            shard_fs = PyFileSystem(FSSpecHandler(seam.fs))
+        for group_paths in b["paths"].to_pylist():
+            parts = []
+            for p in group_paths:
+                t = pq.read_table(p, filesystem=shard_fs)
+                hive = _os.path.basename(_os.path.dirname(p))
+                if "pred" not in t.column_names and hive.startswith("pred="):
+                    pred = pa.array(
+                        [unquote(hive[len("pred="):])] * t.num_rows,
+                        pa.large_string(),
+                    )
+                    t = t.append_column("pred", pred)
+                parts.append(t.select(list(TRIPLE_SCHEMA.names)).cast(TRIPLE_SCHEMA))
+            if parts:
+                yield pa.concat_tables(parts)
+
+    return rd.from_items(
+        [{"paths": s} for s in shards], override_num_blocks=len(shards)
+    ).map_batches(
+        read_shard, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
 
 
 def run_flagship(
@@ -245,13 +213,13 @@ def run_flagship(
 ) -> Dataset:
     """End-to-end: fixture dir → canonical triples (written if out_dir).
 
-    With an ``out_dir`` and ``sort_mode="local"`` (default) the job runs
-    the SINGLE-PASS streaming materialize (pipelines/streaming.py): local
-    canonicalization fused into the main pass, direct per-block sorted
-    hive writes, global merge + fixup only where cross-batch chains land.
-    With ``sort_mode="global"`` the two-pass canonical triples get Ray's
-    total (pred, subj) sort before the partitioned write; without an
-    ``out_dir`` the two-pass Dataset is returned unwritten.
+    With an ``out_dir`` the job runs the SINGLE-PASS streaming
+    materialize (pipelines/streaming.py): local canonicalization fused
+    into the main pass, direct per-block (pred, subj)-sorted hive writes,
+    global merge + fixup only where cross-batch chains land, and the
+    manifest commit; the committed graph is read back.  A total
+    (pred, subj) order is ``read_graph(out_dir).sort(["pred", "subj"])``.
+    Without an ``out_dir`` the two-pass Dataset is returned unwritten.
 
     ``index_ref``: an already-broadcast ``RegistryIndex`` ObjectRef (ST1
     steady state — see link_stage); skips the per-job index load/put.
@@ -263,7 +231,7 @@ def run_flagship(
         registry = index_ref
     pages = read_pages(fixture_dir)
 
-    if out_dir and cfg.sort_mode == "local":
+    if out_dir:
         from .streaming import write_canonical_single_pass
 
         raw = raw_triples(pages, registry, sources, cfg, cache)
@@ -276,15 +244,7 @@ def run_flagship(
         )
         return read_graph(out_dir)
 
-    canon = canonical_triples(
+    return canonical_triples(
         pages, registry, sources, cfg,
         index_cache_path=cache,
     )
-    if out_dir:
-        # Ray's sort range-partitions then sorts — the output files ARE
-        # globally ordered by (pred, subj)
-        canon.sort(["pred", "subj"]).write_parquet(
-            out_dir, partition_cols=["pred"]
-        )
-        return read_graph(out_dir)
-    return canon

@@ -58,7 +58,7 @@ from ..stages.canonicalize import (
     local_canonicalize_batch,
     local_exact_dedup,
 )
-from ..state.fs import LocalFS, write_commit_manifest
+from ..state.fs import LocalFS, read_commit_manifest, write_commit_manifest
 
 MANIFEST_SCHEMA = pa.schema(
     [
@@ -142,7 +142,7 @@ def _write_block(
         p = pred_np[s]
         part = body.slice(s, e - s)
         # percent-encode the partition value (IRI preds contain '/');
-        # read_graph decodes — same convention as Ray's write_parquet
+        # read_graph decodes it
         pdir = os.path.join(out_dir, f"pred={quote(p, safe='')}")
         path = os.path.join(pdir, f"part-{stem}.parquet")
         skip = resume and fs.exists(path)
@@ -230,19 +230,17 @@ def _fixup_file(path: str, lut: tuple, drop_sameas: bool, fs=None) -> tuple[str,
 
 @ray.remote(num_cpus=1)
 def _compact_dir(
-    pdir: str, target_bytes: int, fs=None, allowed: list[str] | None = None
+    pdir: str, target_bytes: int, fs, files: list[str]
 ) -> tuple[list[str], list[str]]:
-    """Merge this hive partition dir's small files into ~target-size
-    sorted files.  Only files below the target participate; large files
-    are left untouched.  When ``allowed`` is given (the commit manifest's
-    live files for this dir) ONLY those files are read — uncommitted
-    garbage is never merged into a live file (round-3 advice).  Writes
-    new content-named files but deletes NOTHING: returns (added,
-    removed-candidates) so the caller re-commits the manifest FIRST and
-    deletes predecessors after, keeping every crash window readable."""
-    fs = fs or LocalFS()
-    files = fs.list(pdir, suffix=".parquet") if allowed is None else sorted(allowed)
-    small = [f for f in files if fs.size(f) < target_bytes]
+    """Merge this hive partition dir's small committed ``files`` (the
+    commit manifest's live files for this dir) into ~target-size sorted
+    files.  Only files below the target participate; large files are left
+    untouched, and uncommitted garbage is never merged into a live file
+    (round-3 advice).  Writes new content-named files but deletes
+    NOTHING: returns (added, removed-candidates) so the caller re-commits
+    the manifest FIRST and deletes predecessors after, keeping every
+    crash window readable."""
+    small = [f for f in sorted(files) if fs.size(f) < target_bytes]
     added: list[str] = []
     removed: list[str] = []
     if len(small) < 2:
@@ -280,35 +278,23 @@ def compact_partitions(out_dir: str, *, target_mb: int = 128, fs=None) -> dict:
     tasks only ADD files; the manifest is re-committed to the
     post-compaction set on the driver, and only then are merged
     predecessors deleted — a crash anywhere leaves a committed,
-    readable state (plus reclaimable garbage at worst)."""
-    from ..state.fs import read_commit_manifest
-
+    readable state (plus reclaimable garbage at worst).  Only committed
+    files take part: a dir without ``_MANIFEST.json`` raises
+    ``FileNotFoundError``."""
     fs = fs or LocalFS()
     target = target_mb * 1024 * 1024
     man = read_commit_manifest(fs, out_dir)
-    pdirs = [
-        os.path.join(out_dir, d)
-        for d in sorted(os.listdir(out_dir))
-        if d.startswith("pred=") and os.path.isdir(os.path.join(out_dir, d))
-    ]
-    allowed_by_dir: dict[str, list[str]] = {}
-    if man is not None:
-        for f in man["files"]:
-            p = os.path.join(out_dir, f)
-            allowed_by_dir.setdefault(os.path.dirname(p), []).append(p)
-        pdirs = [d for d in pdirs if d in allowed_by_dir]
-    results = ray.get(
-        [
-            _compact_dir.remote(d, target, fs, allowed_by_dir.get(d))
-            for d in pdirs
-        ]
-    )
+    by_dir: dict[str, list[str]] = {}
+    for f in man["files"]:
+        p = os.path.join(out_dir, f)
+        by_dir.setdefault(os.path.dirname(p), []).append(p)
+    pdirs = sorted(by_dir)
+    results = ray.get([_compact_dir.remote(d, target, fs, by_dir[d]) for d in pdirs])
     added = [p for a, _r in results for p in a]
     removed = {p for _a, r in results for p in r}
-    if man is not None:
-        live = {os.path.join(out_dir, f) for f in man["files"]}
-        live = (live - removed) | set(added)
-        write_commit_manifest(fs, out_dir, live, {k: v for k, v in man.items() if k != "files"})
+    live = {os.path.join(out_dir, f) for f in man["files"]}
+    live = (live - removed) | set(added)
+    write_commit_manifest(fs, out_dir, live, {k: v for k, v in man.items() if k != "files"})
     for p in removed:
         fs.delete(p)
     return {"dirs": len(pdirs), "files_merged": int(sum(len(r) for _a, r in results))}

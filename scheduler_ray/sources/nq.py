@@ -26,6 +26,8 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
+from ..state.fs import LocalFS
+
 PREFIXES = {
     "rdf:": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
     "owl:": "http://www.w3.org/2002/07/owl#",
@@ -183,14 +185,10 @@ def _publish(path: str, data: bytes) -> None:
     the new file with its own sidecar or with none; without one,
     :func:`pull_release_graphs` hashes the file itself."""
     sidecar = path + ".bytesum"
-    if os.path.exists(sidecar):
-        os.remove(sidecar)
-    with open(path + ".tmp", "wb") as f:
-        f.write(data)
-    os.replace(path + ".tmp", path)
-    digest = _bytesum(data)
-    with open(sidecar, "w") as f:
-        f.write(digest)
+    fs = LocalFS()
+    fs.delete(sidecar)
+    fs.put_bytes(path, data)
+    fs.put_bytes(sidecar, _bytesum(data).encode())
 
 
 def _source_path(graphs_dir: str, source: str, salt: int | None = None) -> str:
@@ -198,6 +196,18 @@ def _source_path(graphs_dir: str, source: str, salt: int | None = None) -> str:
     if salt is None:
         return os.path.join(graphs_dir, f"{safe}_release.nq.gz")
     return os.path.join(graphs_dir, f".{safe}.part{salt:04d}.gz")
+
+
+def _one_source_per_path(summary: pd.DataFrame) -> pd.DataFrame:
+    """``summary``, unless two of its sources were written to one path
+    (``_source_path`` maps ``:`` and ``-`` alike): then ``ValueError``."""
+    dup = summary[summary["path"].duplicated(keep=False)]
+    if len(dup):
+        raise ValueError(
+            f"sources {sorted(set(dup['source']))} share the release file "
+            f"{dup['path'].iloc[0]}"
+        )
+    return summary
 
 
 def _gzip_lines(lines: pa.Array) -> "tuple[bytes, int]":
@@ -266,7 +276,7 @@ def write_release_graphs(
                 f.write(data)
         return pa.table({"source": [source], "n_quads": [n_quads], "path": [path]})
 
-    parts = sorted_map_groups(triples, keys, render).to_pandas()
+    parts = _one_source_per_path(sorted_map_groups(triples, keys, render).to_pandas())
     if not hot:
         return parts.sort_values("source").reset_index(drop=True)
     # concatenate salted members (salt order) into the final per-source
@@ -287,6 +297,7 @@ def write_release_graphs(
 
     out = parts.groupby("source", as_index=False)["n_quads"].sum()
     out["path"] = [_source_path(graphs_dir, source) for source in out["source"]]
+    _one_source_per_path(out)
     members = parts[~parts["path"].isin(out["path"])].sort_values("path")
     ray.get(
         [
@@ -308,6 +319,7 @@ def pull_release_graphs(graphs_dir: str, dest_dir: str) -> pd.DataFrame:
     Returns a summary frame (file, action ∈ {pulled, skipped}).
     """
     os.makedirs(dest_dir, exist_ok=True)
+    fs = LocalFS()
     rows = []
     for f in sorted(os.listdir(graphs_dir)):
         if not f.endswith("_release.nq.gz"):
@@ -328,12 +340,7 @@ def pull_release_graphs(graphs_dir: str, dest_dir: str) -> pd.DataFrame:
                     rows.append({"file": f, "action": "skipped"})
                     continue
         with open(src, "rb") as fh:
-            data = fh.read()
-        tmp = dst + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, dst)
-        with open(dst_sum_path, "w") as fh:
-            fh.write(src_sum)
+            fs.put_bytes(dst, fh.read())
+        fs.put_bytes(dst_sum_path, src_sum.encode())
         rows.append({"file": f, "action": "pulled"})
     return pd.DataFrame(rows)

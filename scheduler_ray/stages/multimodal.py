@@ -10,8 +10,8 @@ libraries exist in this container:
   or produces a deterministic fake decode (hash-derived width/height/
   duration) in ``fake`` mode so pipelines remain runnable end-to-end.
 
-At 100 TB: decode/resize/frame-sample are exactly the stages that want
-small ``batch_size`` (payloads are wide) and real actor pools
+At 100 TB: decode/resize is exactly the stage that wants a small
+``batch_size`` (payloads are wide) and a real actor pool
 (``concurrency=(m, n)``, codecs initialised once per actor).
 """
 
@@ -243,34 +243,3 @@ class MediaDecoder:
             ],
             names=["media_id", "width", "height", "features"],
         )
-
-
-def media_decode_stage(
-    ds: Dataset,
-    *,
-    mode: str = "fake",
-    concurrency: int | tuple[int, int] = (1, 4),
-    batch_size: int = 256,
-) -> Dataset:
-    """Decode/feature-extract as an actor pool: small batches (wide rows),
-    codec state per actor."""
-    return ds.map_batches(
-        MediaDecoder,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"mode": mode},
-        zero_copy_batch=True,
-    )
-
-
-def frame_sample_stage(ds: Dataset, every_n: int = 10) -> Dataset:
-    """Deterministic frame sampling stand-in: keep every n-th row per
-    ordered media stream (the video analogue of LIMIT-per-key)."""
-    import pyarrow.compute as pc
-
-    def sample(batch: pa.Table) -> pa.Table:
-        idx = np.arange(batch.num_rows)
-        return batch.take(pa.array(idx[idx % every_n == 0]))
-
-    return ds.map_batches(sample, batch_format="pyarrow", zero_copy_batch=True)

@@ -219,8 +219,10 @@ def write_commit_manifest(fs, out_dir: str, files: Iterable[str], meta: dict | N
     fs.put_bytes(os.path.join(out_dir, MANIFEST_NAME), json.dumps(payload).encode())
 
 
-def read_commit_manifest(fs, out_dir: str) -> dict | None:
+def read_commit_manifest(fs, out_dir: str) -> dict:
+    """The commit manifest of ``out_dir``; a dir without one holds no
+    committed graph (``FileNotFoundError``)."""
     path = os.path.join(out_dir, MANIFEST_NAME)
     if not fs.exists(path):
-        return None
+        raise FileNotFoundError(f"no committed graph in {out_dir}: {MANIFEST_NAME} is missing")
     return json.loads(fs.get_bytes(path))

@@ -15,10 +15,11 @@ manifests:
 ``files`` lists the partition's live data files (relative to ``data/``);
 readers read those and no other.  A rerun skips every partition whose
 ``input_hash`` still matches the current input — the resume contract the
-north_rule requires.  Manifests are written last and atomically (tmp +
-rename), after the files they list and before the files they supersede
-are deleted, so a partition reads as its old or its new state and is
-either complete-with-manifest or will be redone.
+north_rule requires.  Manifests are written last and atomically
+(``LocalFS.put_bytes``: a per-put tmp name + rename), after the files
+they list and before the files they supersede are deleted, so a
+partition reads as its old or its new state and is either
+complete-with-manifest or will be redone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import json
 import os
 import time
 from urllib.parse import quote
+
+from .fs import LocalFS
 
 
 def manifest_path(out_dir: str, partition_id: str) -> str:
@@ -51,12 +54,8 @@ def load_manifest(out_dir: str, partition_id: str) -> dict | None:
 
 def write_manifest(out_dir: str, partition_id: str, payload: dict) -> str:
     p = manifest_path(out_dir, partition_id)
-    os.makedirs(os.path.dirname(p), exist_ok=True)
     payload = {"partition_id": partition_id, "written_at": time.time(), **payload}
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, sort_keys=True)
-    os.replace(tmp, p)
+    LocalFS().put_bytes(p, json.dumps(payload, sort_keys=True).encode())
     return p
 
 

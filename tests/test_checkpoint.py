@@ -558,6 +558,82 @@ def test_release_sidecar_failure_pulls_new_bytes(tmp_path, monkeypatch):
     assert list(nq.pull_release_graphs(graphs, dest)["action"]) == ["skipped"]
 
 
+def _from_threads(call, n_threads=8, n_calls=50):
+    """Run ``call(thread, k)`` for k < ``n_calls`` on each of ``n_threads``
+    threads at once; re-raise the first exception."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(i):
+        for k in range(n_calls):
+            call(i, k)
+
+    with ThreadPoolExecutor(n_threads) as pool:
+        list(pool.map(run, range(n_threads)))
+
+
+def test_concurrent_manifest_writes_of_one_partition(tmp_path):
+    """Concurrent ``write_manifest`` calls of one partition each stage
+    under their own tmp name: none raises, the manifest holds one call's
+    payload whole, and no ``*.tmp`` is left behind."""
+    out = str(tmp_path)
+    _from_threads(lambda i, k: mf.write_manifest(out, "src0", {"input_hash": f"{i}-{k}"}))
+    m = mf.load_manifest(out, "src0")
+    assert m["partition_id"] == "src0" and m["input_hash"].endswith("-49")
+    assert os.listdir(os.path.join(out, "manifests")) == ["src0.json"]
+
+
+def test_concurrent_publishes_of_one_path(tmp_path):
+    """Concurrent ``_publish`` calls of one release file: none raises, the
+    file holds one call's bytes whole, its sidecar is one call's digest,
+    and no ``*.tmp`` is left behind."""
+    path = str(tmp_path / "src0_release.nq.gz")
+    payloads = [bytes([i]) * 50_000 for i in range(8)]
+    _from_threads(lambda i, k: nq._publish(path, payloads[i]))
+    with open(path, "rb") as f:
+        assert f.read() in payloads
+    with open(path + ".bytesum") as f:
+        assert f.read() in {nq._bytesum(p) for p in payloads}
+    assert sorted(os.listdir(tmp_path)) == ["src0_release.nq.gz", "src0_release.nq.gz.bytesum"]
+
+
+def test_sources_sharing_a_sanitized_id_raise(fixture_sf0001, tmp_path):
+    """``a:b`` and ``a-b`` are distinct sources that sanitize to one
+    manifest name and one release file name: the refresh raises before it
+    writes anything, and the release raises instead of letting the last
+    write win."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from scheduler_ray.stages.expand import TRIPLE_SCHEMA
+
+    fx, out = str(tmp_path / "fx"), str(tmp_path / "kg")
+    _page_fixture(
+        fixture_sf0001, fx, 5,
+        extra_urls=["https://example.org/a:b/1", "https://example.org/a-b/1"],
+    )
+    with pytest.raises(ValueError, match="'a-b' and 'a:b'"):
+        cp.run_checkpointed(fx, out)
+    assert not os.path.exists(out)
+
+    tbl = pa.table(
+        {
+            "subj": ["https://x/1", "https://x/2", "https://x/3", "https://x/4"],
+            "pred": ["schema:name"] * 4,
+            "obj": ["one", "two", "three", "four"],
+            "obj_is_literal": [True] * 4,
+            "graph": ["a:b", "a:b", "a:b", "a-b"],
+        }
+    )
+    triples = rd.from_arrow(tbl.cast(TRIPLE_SCHEMA))
+    # plain, both sources salted, only a:b salted
+    for salt_factor, hot_fraction in ((0, 0.2), (2, 0.0), (2, 0.5)):
+        with pytest.raises(ValueError, match=r"\['a-b', 'a:b'\] share the release file"):
+            nq.write_release_graphs(
+                triples, str(tmp_path / f"rel{hot_fraction}"),
+                salt_factor=salt_factor, hot_fraction=hot_fraction,
+            )
+
+
 # ----------------------------------------------------- publishing dry runs
 def _release_dir(tmp_path):
     d = tmp_path / "graphs"

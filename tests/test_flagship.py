@@ -72,40 +72,6 @@ def test_sorted_partitioned_write(fixture_sf0001, tmp_out):
     assert len(df) == 2824
 
 
-def test_global_sort_mode_total_order(fixture_sf0001, tmp_out):
-    """sort_mode='global' must produce a true globally-(pred,subj)-sorted
-    materialize (file order = range partitions) — the O4 claim."""
-    import os
-
-    from scheduler_ray.config import PipelineConfig
-
-    cfg = PipelineConfig(sort_mode="global")
-    flagship.run_flagship(fixture_sf0001, out_dir=tmp_out, cfg=cfg)
-    import pyarrow.parquet as pq
-
-    # range-partition property (robust to file naming): every file is
-    # internally sorted, and file (pred, subj) ranges are non-overlapping —
-    # i.e. a total order over files exists
-    spans = []
-    n = 0
-    for root, _dirs, files in os.walk(tmp_out):
-        for f in files:
-            if not f.endswith(".parquet"):
-                continue
-            t = pq.read_table(os.path.join(root, f), columns=["subj"])
-            subjs = t["subj"].to_pylist()
-            if not subjs:
-                continue
-            pred = [p for p in root.split(os.sep) if p.startswith("pred=")][0][5:]
-            assert subjs == sorted(subjs), f"file not internally sorted: {f}"
-            spans.append(((pred, subjs[0]), (pred, subjs[-1])))
-            n += len(subjs)
-    spans.sort()
-    for (_, prev_end), (cur_start, _) in zip(spans, spans[1:]):
-        assert cur_start >= prev_end, (prev_end, cur_start)
-    assert n == 2824
-
-
 def test_distributed_connected_components():
     import ray.data as rd
 

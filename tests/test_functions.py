@@ -92,18 +92,18 @@ def test_config_from_env():
     env = {
         "SCHEDULER_RAY_EXTRACT_BATCH_SIZE": "2048",
         "SCHEDULER_RAY_VALIDATE_DOCS": "false",
-        "SCHEDULER_RAY_SORT_MODE": "global",
         "SCHEDULER_RAY_CANON_BROADCAST_MAX_PAIRS": "4",
     }
     cfg = PipelineConfig.from_env(env)
     assert cfg.extract_batch_size == 2048
     assert cfg.validate_docs is False
-    assert cfg.sort_mode == "global" and cfg.canon_broadcast_max_pairs == 4
+    assert cfg.canon_broadcast_max_pairs == 4
     with pytest.raises(ValueError):
         PipelineConfig.from_env({"SCHEDULER_RAY_EXPAND_BATCH_SIZE": "-5"})
     # a variable naming no field fails fast (typos, removed fields) ...
     # (the phase-timings switch SCHEDULER_RAY_TIMINGS is gone as well,
-    # and so are the never-set link-actor, salt, partition and extra knobs)
+    # and so are the never-set link-actor, salt, partition and extra knobs
+    # and the sort mode of the removed global-sort write)
     for var in (
         "SCHEDULER_RAY_STAGING_DIR",
         "SCHEDULER_RAY_EXTRACT_BATCHSIZE",
@@ -113,26 +113,12 @@ def test_config_from_env():
         "SCHEDULER_RAY_SALT_FACTOR",
         "SCHEDULER_RAY_PARTITION_COL",
         "SCHEDULER_RAY_EXTRA",
+        "SCHEDULER_RAY_SORT_MODE",
     ):
         with pytest.raises(ValueError, match=var):
             PipelineConfig.from_env({**env, var: "1"})
     # unrelated variables are not this config's business
     assert PipelineConfig.from_env({"PATH": "/bin"}) == PipelineConfig()
-
-
-def test_config_sort_mode_validated():
-    """A sort_mode typo must not silently skip the single-pass writer."""
-    import pytest
-
-    from scheduler_ray.config import PipelineConfig
-
-    for mode in ("local", "global"):
-        assert PipelineConfig(sort_mode=mode).validate().sort_mode == mode
-    for bad in ("globl", "ranged", ""):
-        with pytest.raises(ValueError, match="sort_mode"):
-            PipelineConfig(sort_mode=bad).validate()
-    with pytest.raises(ValueError, match="sort_mode"):
-        PipelineConfig.from_env({"SCHEDULER_RAY_SORT_MODE": "globl"})
 
 
 def test_failure_report():

@@ -320,6 +320,25 @@ def test_manifest_gated_read_ignores_garbage(tmp_out):
     assert _tripleset(flagship.read_graph(tmp_out).to_pandas()) == committed
 
 
+def test_uncommitted_dir_raises(tmp_out):
+    """A dir without ``_MANIFEST.json`` holds no committed graph: reading
+    or compacting it raises instead of taking whatever parquet is there."""
+    import pyarrow.parquet as pq
+
+    from scheduler_ray.pipelines.streaming import compact_partitions
+
+    b = _tbl([("https://pids.geoconnex.dev/x/9", "schema:name", "Feature 9", True, "s")])
+    pdir = os.path.join(tmp_out, "pred=schema%3Aname")
+    os.makedirs(pdir)
+    for name in ("part-a.parquet", "part-b.parquet"):
+        pq.write_table(b.drop_columns(["pred"]), os.path.join(pdir, name))
+    with pytest.raises(FileNotFoundError, match="no committed graph"):
+        flagship.read_graph(tmp_out)
+    with pytest.raises(FileNotFoundError, match="no committed graph"):
+        compact_partitions(tmp_out, target_mb=64)
+    assert sorted(os.listdir(pdir)) == ["part-a.parquet", "part-b.parquet"]
+
+
 def test_fsspec_fs_contract_memory_protocol():
     """The fsspec seam's put/get/list/size/delete + commit-manifest
     contract on the in-memory object store (pure object semantics — no

@@ -90,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
             from .pipelines import flagship
             from .pipelines.export import feature_table, write_geoparquet
 
-            canon = flagship.run_flagship(args.fixture_dir)
+            # feature_table reads its input twice (fields and points)
+            canon = flagship.run_flagship(args.fixture_dir).materialize()
             write_geoparquet(feature_table(canon), args.out, rows_per_group=args.rows_per_group)
             print(json.dumps({"out": args.out}))
         elif args.cmd == "release":

@@ -20,10 +20,6 @@ class PipelineConfig:
     #: this to ~1024 so batch × concurrency fits worker heaps
     extract_batch_size: int = 4096
     expand_batch_size: int = 4096
-    #: None → whole-block batches: a document's triples are always
-    #: complete within one batch, so the linker's batch-local geo (blank
-    #: node → parent) resolution never splits a document
-    link_batch_size: int | None = None
     #: drop owl:sameAs triples from the final graph after rewriting
     drop_sameas: bool = True
     #: broadcast ceiling for the sameAs rewrite LUT: if the compressed
@@ -82,8 +78,8 @@ class PipelineConfig:
             raw = environ.get(f"{ENV_PREFIX}{name.upper()}")
             if raw is None:
                 continue
-            if f.type in ("int", "int | None"):
-                kwargs[name] = env_int(raw, 0) or (None if f.type == "int | None" else 0)
+            if f.type == "int":
+                kwargs[name] = env_int(raw, 0)
             elif f.type == "bool":
                 kwargs[name] = env_bool(raw)
             else:
@@ -91,8 +87,7 @@ class PipelineConfig:
         return cls(**kwargs).validate()
 
     def validate(self) -> "PipelineConfig":
-        for name in ("extract_batch_size", "expand_batch_size", "link_batch_size"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
+        for name in ("extract_batch_size", "expand_batch_size"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         return self

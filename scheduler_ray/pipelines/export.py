@@ -6,10 +6,14 @@ geometry`` plus a Hilbert spatial sort and bounded row groups (reference
 userCode/assetGroups/export.py:111-186; columns asserted at
 export_test.py:77-86).  Ray-Data-first equivalent:
 
-* triples → one row per subject via per-batch partial pivot + a
-  ``groupby(subj)`` merge of the (already single-valued) fields — the
-  wide triple stream shuffles only one pivoted row per subject per batch;
-* WKB point geometry encoded from the document's lat/lon (F11 bbox
+* triples → one row per subject: an Arrow projection of each feature's
+  id, graph, name and description rows, unioned with its point from the
+  linker's point kernel (``link.resolve_points_grouped``: geo blank node
+  → owning feature + lat/lon, merged across blocks), then one
+  ``sorted_agg_by("id", max)`` merge.  No step assumes that a document's
+  rows share a batch, so the table is the same over the expansion
+  stream, a re-sorted stream or pred-partitioned files;
+* WKB point geometry encoded from the feature's lat/lon (F11 bbox
   computation);
 * Hilbert-curve sort key (O2) for locality-preserving output; written
   with bounded row groups.
@@ -19,75 +23,61 @@ from __future__ import annotations
 
 import struct
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray.data import Dataset
+from ..stages.link import GEO_PREDS, NAME_PREDS, resolve_points_grouped
+from ..stages.segments import sorted_agg_by
 from ..stages.spatial import hilbert_index
 
 #: both predicate spellings (prefixed / @context-expanded IRI)
-_FIELD_PREDS = {
-    "schema:name": "feature_name",
-    "https://schema.org/name": "feature_name",
-    "schema:description": "feature_description",
-    "https://schema.org/description": "feature_description",
-    "schema:latitude": "lat_milli",
-    "https://schema.org/latitude": "lat_milli",
-    "schema:longitude": "lon_milli",
-    "https://schema.org/longitude": "lon_milli",
-}
-_GEO_PREDS = {"schema:geo", "https://schema.org/geo"}
-#: every pivot block has this schema, so an all-null field column is
+DESCRIPTION_PREDS = ("schema:description", "https://schema.org/description")
+
+_LS = pa.large_string()
+#: every field block has this schema, so an all-null field column is
 #: never typed ``null`` in one block and ``string`` in the next
-_PIVOT_SCHEMA = pa.schema(
-    (c, pa.large_string())
-    for c in ["id", "geoconnex_sitemap", "feature_name", "feature_description",
-              "lat_milli", "lon_milli"]
+_FEATURE_SCHEMA = pa.schema(
+    [("id", _LS), ("geoconnex_sitemap", _LS), ("feature_name", _LS),
+     ("feature_description", _LS), ("lat", pa.float64()), ("lon", pa.float64())]
 )
 
 
-def _pivot_partial(b: pd.DataFrame) -> pa.Table:
-    """Partial per-batch pivot.
-
-    lat/lon live on the geo BLANK node (``expand.py`` emits
-    ``(feature, schema:geo, _:…#b0)`` + the coordinates at the label);
-    the blank→feature edge is resolved batch-locally.  Partitioning
-    assumption: a document's rows are contiguous within one batch —
-    true for the expansion/canonicalization stream this pivot consumes
-    (do NOT run it over pred-partitioned files).
-    """
-    b = b[b["pred"].isin(_FIELD_PREDS) | b["pred"].isin(_GEO_PREDS)]
-    if b.empty:
-        return _PIVOT_SCHEMA.empty_table()
-    # vectorized assembly (round-3 verdict item 8 — this was a per-row
-    # dict loop): blank→parent via a keep-last map, owner resolution via
-    # Series.map, field pivot via groupby().last().unstack()
-    is_geo = b["pred"].isin(_GEO_PREDS)
-    parent = b[is_geo].drop_duplicates("obj", keep="last").set_index("obj")["subj"]
-    is_blank = b["subj"].str.startswith("_:")
-    owner = b["subj"].where(~is_blank, b["subj"].map(parent))
-    b2 = b.assign(owner=owner)
-    b2 = b2[b2["owner"].notna()]  # orphan blanks (parent in another batch)
-    # first-encountered graph per owner (same as the old setdefault)
-    base = (
-        b2.drop_duplicates("owner")[["owner", "graph"]]
-        .rename(columns={"owner": "id", "graph": "geoconnex_sitemap"})
-    )
-    fields = b2[~b2["pred"].isin(_GEO_PREDS)]
-    if fields.empty:
-        piv = pd.DataFrame(index=pd.Index([], name="owner"))
-    else:
-        piv = (
-            fields.assign(field=fields["pred"].map(_FIELD_PREDS))
-            .groupby(["owner", "field"], sort=False)["obj"]
-            .last()  # overwrite-wins, like the old dict assignment
-            .unstack("field")
+def _feature_fields(t: pa.Table) -> pa.Table:
+    """The feature table's field rows: one ``(id, geoconnex_sitemap,
+    feature_name | null, feature_description | null, null, null)`` row
+    per name, description or geo-edge triple of a non-blank subject."""
+    preds = pa.array(NAME_PREDS + DESCRIPTION_PREDS + GEO_PREDS, _LS)
+    t = t.filter(
+        pc.and_(
+            pc.is_in(t["pred"], value_set=preds),
+            pc.invert(pc.starts_with(t["subj"], pattern="_:")),
         )
-    out = base.merge(piv, left_on="id", right_index=True, how="left")
-    for col in _PIVOT_SCHEMA.names:
-        if col not in out:
-            out[col] = None
-    return pa.Table.from_pandas(out, schema=_PIVOT_SCHEMA, preserve_index=False)
+    )
+    obj = pc.cast(t["obj"], _LS)
+    null = pa.scalar(None, _LS)
+    no_coord = pa.nulls(t.num_rows, pa.float64())
+    return pa.table(
+        [
+            pc.cast(t["subj"], _LS),
+            pc.cast(t["graph"], _LS),
+            pc.if_else(pc.is_in(t["pred"], value_set=pa.array(NAME_PREDS, _LS)), obj, null),
+            pc.if_else(
+                pc.is_in(t["pred"], value_set=pa.array(DESCRIPTION_PREDS, _LS)), obj, null
+            ),
+            no_coord,
+            no_coord,
+        ],
+        schema=_FEATURE_SCHEMA,
+    )
+
+
+def _point_fields(t: pa.Table) -> pa.Table:
+    """``(subj, lat, lon)`` points as field rows with null text fields."""
+    null = pa.nulls(t.num_rows, _LS)
+    return pa.table(
+        [t["subj"], null, null, null, t["lat"], t["lon"]], schema=_FEATURE_SCHEMA
+    )
 
 
 def wkb_point(x: float, y: float) -> bytes:
@@ -95,144 +85,49 @@ def wkb_point(x: float, y: float) -> bytes:
     return b"\x01" + struct.pack("<I", 1) + struct.pack("<dd", x, y)
 
 
-def _pivot_grouped(canon: Dataset) -> Dataset:
-    """Contiguity-free partial pivot (ROADMAP §4): resolves the geo
-    blank node → feature edge with a hash-partitioned join instead of
-    the batch-local map, so a document's rows may be scattered across
-    arbitrary batches (e.g. when pivoting pred-partitioned files).
-
-    Costs one shuffle of the (pruned) coordinate rows — use the default
-    contiguous pivot when the stream preserves document locality.
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray
-
-    from ..stages.segments import _drop_empty_blocks
-
-    field_preds = pa.array(sorted(_FIELD_PREDS), pa.large_string())
-    geo_preds = pa.array(sorted(_GEO_PREDS), pa.large_string())
-
-    def prune(t: pa.Table) -> pa.Table:
-        keep = pc.or_(
-            pc.is_in(t["pred"], value_set=field_preds),
-            pc.is_in(t["pred"], value_set=geo_preds),
-        )
-        return t.filter(keep)
-
-    kept = _drop_empty_blocks(
-        canon.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    n_parts = min(
-        max(2, kept.num_blocks()),
-        max(2, int(ray.cluster_resources().get("CPU", 8))),
-    )
-
-    def geo_edges(t: pa.Table) -> pa.Table:
-        g = t.filter(pc.is_in(t["pred"], value_set=geo_preds))
-        return pa.table(
-            {
-                "subj": pc.cast(g["obj"], pa.large_string()),
-                "_owner": pc.cast(g["subj"], pa.large_string()),
-            }
-        )
-
-    edges = _drop_empty_blocks(
-        kept.map_batches(geo_edges, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def field_rows(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.is_in(t["pred"], value_set=field_preds))
-        return pa.table(
-            {
-                "subj": pc.cast(f["subj"], pa.large_string()),
-                "pred": pc.cast(f["pred"], pa.large_string()),
-                "obj": pc.cast(f["obj"], pa.large_string()),
-                "graph": pc.cast(f["graph"], pa.large_string()),
-            }
-        )
-
-    fields = _drop_empty_blocks(
-        kept.map_batches(field_rows, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def split_blank(want_blank: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            blank = pc.starts_with(t["subj"], pattern="_:")
-            return t.filter(blank if want_blank else pc.invert(blank))
-
-        return fn
-
-    direct = fields.map_batches(
-        split_blank(False), batch_format="pyarrow", zero_copy_batch=True
-    )
-    blanks = _drop_empty_blocks(
-        fields.map_batches(split_blank(True), batch_format="pyarrow", zero_copy_batch=True)
-    )
-    # inner join: orphan blanks (no geo edge anywhere) drop, matching the
-    # contiguous pivot's owner.notna() filter
-    resolved = _drop_empty_blocks(blanks.join(edges, "inner", n_parts, on=("subj",)))
-
-    def rekey(t: pa.Table) -> pa.Table:
-        i = t.schema.get_field_index("subj")
-        t = t.set_column(i, "subj", pc.cast(t["_owner"], pa.large_string()))
-        return t.drop_columns(["_owner"]).select(["subj", "pred", "obj", "graph"])
-
-    owned = resolved.map_batches(rekey, batch_format="pyarrow", zero_copy_batch=True)
-    # blank-free stream → the batch-local pivot is now assumption-free
-    return direct.union(owned).map_batches(_pivot_partial, batch_format="pandas")
-
-
-def feature_table(canon: Dataset, *, pivot_mode: str = "contiguous") -> Dataset:
+def feature_table(canon: Dataset) -> Dataset:
     """Canonical triples → one feature row per subject.
 
-    Partial pivot per batch, then a per-subject max merge — every field
-    is single-valued per subject, so max acts as coalesce (non-null wins
-    over null) while staying a combiner-friendly aggregate.
-
-    ``pivot_mode="contiguous"`` (default) assumes a document's rows are
-    batch-contiguous (true of the expansion/canonicalization stream);
-    ``"grouped"`` drops that assumption via a join-based blank-node
-    resolution (one extra shuffle of the pruned coordinate rows).
+    The field rows of :func:`_feature_fields` and the feature points of
+    :func:`~scheduler_ray.stages.link.resolve_points_grouped` meet in one
+    per-subject max merge: every field is single-valued per subject, so
+    max acts as coalesce (non-null wins over null), and a field a
+    subject carries more than once (duplicate coordinates included)
+    resolves by max.  The merge runs across blocks, so ``canon`` may cut
+    its documents anywhere.  ``canon`` is read twice (fields and points),
+    so a lazy one is computed twice.
     """
-    if pivot_mode == "grouped":
-        partial = _pivot_grouped(canon)
-    elif pivot_mode == "contiguous":
-        partial = canon.map_batches(_pivot_partial, batch_format="pandas")
-    else:
-        raise ValueError(f"unknown pivot_mode: {pivot_mode!r}")
+    fields = canon.map_batches(_feature_fields, batch_format="pyarrow", zero_copy_batch=True)
+    points = resolve_points_grouped(canon).map_batches(
+        _point_fields, batch_format="pyarrow", zero_copy_batch=True
+    )
     # per-subject merge via the sorted-agg primitive, NOT Ray's groupby
     # aggregate: the latter's reduce runs per-GROUP Python accumulators
     # (measured ~165 s per 150k groups), which at registry scale (3.2M
     # features) would dominate the export end-to-end
-    from ..stages.segments import sorted_agg_by
-
     merged = sorted_agg_by(
-        partial,
-        "id",
-        {
-            "geoconnex_sitemap": "max",
-            "feature_name": "max",
-            "feature_description": "max",
-            "lat_milli": "max",
-            "lon_milli": "max",
-        },
+        fields.union(points), "id", dict.fromkeys(_FEATURE_SCHEMA.names[1:], "max")
     )
 
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        lat = b["lat_milli"].astype("float64") / 1000.0
-        lon = b["lon_milli"].astype("float64") / 1000.0
-        b = b.drop(columns=["lat_milli", "lon_milli"])
-        b["bbox_xmin"] = lon
-        b["bbox_ymin"] = lat
-        b["bbox_xmax"] = lon
-        b["bbox_ymax"] = lat
-        b["geometry"] = [wkb_point(x, y) for x, y in zip(lon, lat)]
-        b["hilbert"] = hilbert_index(lon.to_numpy(), lat.to_numpy())
-        return b
+    def finish(t: pa.Table) -> pa.Table:
+        lat = t["lat"].to_numpy(zero_copy_only=False)
+        lon = t["lon"].to_numpy(zero_copy_only=False)
+        # a feature without a point keeps null bbox fields
+        x, y = pa.array(lon, from_pandas=True), pa.array(lat, from_pandas=True)
+        cols = {
+            "bbox_xmin": x,
+            "bbox_ymin": y,
+            "bbox_xmax": x,
+            "bbox_ymax": y,
+            "geometry": pa.array([wkb_point(a, b) for a, b in zip(lon, lat)], pa.binary()),
+            "hilbert": pa.array(hilbert_index(lon, lat)),
+        }
+        t = t.drop_columns(["lat", "lon"])
+        for name, col in cols.items():
+            t = t.append_column(name, col)
+        return t
 
-    return merged.map_batches(finish, batch_format="pandas")
+    return merged.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def write_geoparquet(

@@ -59,13 +59,7 @@ def raw_triples(
     cfg = (cfg or PipelineConfig()).validate()
     ex = extract_stage(pages, batch_size=cfg.extract_batch_size)
     tri = expand_stage(ex, batch_size=cfg.expand_batch_size, validate=cfg.validate_docs)
-    return link_stage(
-        tri,
-        registry,
-        sources,
-        batch_size=cfg.link_batch_size,
-        index_cache_path=index_cache_path,
-    )
+    return link_stage(tri, registry, sources, index_cache_path=index_cache_path)
 
 
 def canonical_triples(

@@ -1214,17 +1214,17 @@ def q_feature_table(sf_dir: str):
 
 
 def q_feature_table_grouped(sf_dir: str):
-    """Feature table via the contiguity-free GROUPED pivot (ROADMAP §4):
-    the canonical stream is deliberately scattered (global sort by
-    object) so no document's rows share a batch, then pivoted with the
-    join-based blank-node resolution — same oracle as feature_table."""
+    """Feature table over a SCATTERED stream (ROADMAP §4): the canonical
+    stream is deliberately sorted by object so no document's rows share a
+    batch, then pivoted by the one contiguity-free feature_table (its
+    points merge across blocks) — same oracle as feature_table."""
     from . import export as ex
     from . import flagship
     from ..corpus import ensure_pages_fixture
 
     fx = ensure_pages_fixture(sf_dir)
     canon = flagship.run_flagship(fx).materialize().sort("obj")
-    feats = ex.feature_table(canon, pivot_mode="grouped")
+    feats = ex.feature_table(canon)
     return feats.select_columns(
         ["id", "geoconnex_sitemap", "feature_name", "feature_description",
          "bbox_xmin", "bbox_ymin", "bbox_xmax", "bbox_ymax"]

@@ -35,16 +35,23 @@ min-label propagation + two partitioned joins, same output, all-shuffle).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+# one polars thread per process, set before polars starts its pool: Ray's
+# 1-CPU tasks would otherwise oversubscribe the node
+os.environ.setdefault("POLARS_MAX_THREADS", "1")
+import polars as pl  # noqa: E402
 
 import ray
 from ray.data import Dataset
 
 from . import segments
 from .expand import SAME_AS, SAME_AS_IRI
-from .segments import _drop_empty_blocks, sorted_agg_by
+from .segments import _drop_empty_blocks, join_partitions, sorted_agg_by
 
 PID_PREFIX = "https://pids.geoconnex.dev/"
 
@@ -341,25 +348,15 @@ def _hash_large_string(arr) -> np.ndarray:
     array / numpy string array.
 
     Uses polars (~40 ns/row, no per-row Python objects — measured 40×
-    faster than ``pd.util.hash_array``) pinned to ONE thread so Ray's
-    1-CPU tasks don't oversubscribe the node with per-worker thread pools.
+    faster than ``pd.util.hash_array``), pinned to ONE thread at import.
     ``hash(seed=0)`` is deterministic across processes for a fixed polars
-    version, which is all the tree merge needs.
+    version, which is all the tree merge needs.  There is no second hash:
+    content stems, LUT hashes and sidecar probes must agree with the
+    files already written, so a missing polars fails at import.
     """
-    try:
-        import os
-
-        os.environ.setdefault("POLARS_MAX_THREADS", "1")
-        import polars as pl
-
-        if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
-            arr = pa.array(arr, pa.large_string())
-        return pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64)
-    except ImportError:  # pragma: no cover - polars is baked into the image
-        import pandas as pd
-
-        np_arr = arr.to_numpy(zero_copy_only=False) if isinstance(arr, (pa.Array, pa.ChunkedArray)) else arr
-        return pd.util.hash_array(np_arr).astype(np.uint64)
+    if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
+        arr = pa.array(arr, pa.large_string())
+    return pl.from_arrow(arr).hash(seed=0).to_numpy().astype(np.uint64)
 
 
 #: bits of hash prefix indexed by the probe-prefilter bitmap (2^24 bools =
@@ -746,7 +743,6 @@ def canonicalize_stage_joined(
     edges: Dataset | None = None,
     *,
     drop_sameas: bool = True,
-    num_partitions: int | None = None,
     local_dedup: bool = False,
     cc_max_iters: int = 10,
 ) -> Dataset:
@@ -773,6 +769,8 @@ def canonicalize_stage_joined(
     # empty upstream blocks would be re-emitted column-less by the maps
     # below and poison the joins — drop them first (metadata-only)
     triples = _drop_empty_blocks(triples)
+    # the sameAs filter below keeps the block count
+    n_parts = join_partitions(triples)
     if drop_sameas:
         triples = triples.map_batches(
             lambda t: t.filter(pc.invert(_is_sameas(t["pred"]))),
@@ -807,18 +805,6 @@ def canonicalize_stage_joined(
     labels = _drop_empty_blocks(
         labels.map_batches(_alias_only, batch_format="pyarrow", zero_copy_batch=True)
     )
-    if num_partitions:
-        n_parts = num_partitions
-    else:
-        # partitions beyond the schedulable aggregator-actor count
-        # DEADLOCK the hash-join on small clusters (each partition wants
-        # an aggregator actor, capped globally at 64): bound by CPUs
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        try:
-            n_parts = min(max(2, triples.num_blocks()), max(2, cpus))
-        except Exception:
-            n_parts = max(2, cpus)
-
     def _rename(dst: str, canon: str):
         def fn(t: pa.Table) -> pa.Table:
             return t.rename_columns([dst, canon])
@@ -957,13 +943,7 @@ def connected_components_distributed(
         und.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
     ).materialize()
     prev = _checksum(labels)
-    # cap by CPUs: each hash-join partition wants an aggregator actor
-    # (globally capped at 64) — more partitions than schedulable actors
-    # deadlocks the join on small clusters
-    n_parts = min(
-        max(2, und.num_blocks()),
-        max(2, int(ray.cluster_resources().get("CPU", 8))),
-    )
+    n_parts = join_partitions(und)
     converged = False
     for _ in range(max_iters - 1):
         # propagate: each edge (node, peer) contributes label[peer] to node

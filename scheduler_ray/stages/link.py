@@ -42,6 +42,7 @@ import ray
 from ray.data import Dataset
 
 from .expand import TRIPLE_SCHEMA
+from .segments import _drop_empty_blocks, agg_kernel, join_partitions, sorted_agg_by
 from .spatial import _ragged_arange, narrow_i32
 
 LINEAR_ELEMENT = "hyf:linearElement"
@@ -445,168 +446,8 @@ def build_or_load_index(
     return idx
 
 
-def _subject_points(batch: pa.Table) -> dict[str, tuple[float, float]]:
-    """subject → (x, y) from its geo blank node, resolved batch-locally
-    (a document's rows are contiguous within one expansion batch — the
-    linker runs on whole blocks, see link_stage; for a RE-BLOCKED stream
-    where documents may straddle batches, use :func:`link_stage_grouped`,
-    which resolves points with a distributed join instead).  Coordinates
-    are in milli-units in the corpus; divided to match the registry
-    bboxes."""
-    import pyarrow.compute as pc
-
-    geo_mask = pc.is_in(batch["pred"], value_set=pa.array(GEO_PREDS, pa.large_string()))
-    coord_mask = pc.is_in(
-        batch["pred"], value_set=pa.array(LAT_PREDS + LON_PREDS, pa.large_string())
-    )
-    if not pc.any(geo_mask).as_py() or not pc.any(coord_mask).as_py():
-        return {}
-    edges = batch.filter(geo_mask)
-    coords = batch.filter(coord_mask)
-    # ``index_in`` keeps the FIRST matching edge; the dict it replaced kept
-    # the LAST (overwrite-wins).  Reverse the edge table so first-in-reversed
-    # == last-in-batch, preserving the old semantics when one blank label is
-    # the object of several geo edges (round-3 advice).
-    if edges.num_rows > 1:
-        edges = edges.take(pa.array(np.arange(edges.num_rows - 1, -1, -1)))
-    # columnar blank-label join (round-2 verdict item 6 — the old version
-    # looped to_pylist() per coord row): coord subject → geo-edge object
-    idx = pc.index_in(coords["subj"], value_set=edges["obj"].combine_chunks())
-    valid = pc.is_valid(idx)
-    if not pc.any(valid).as_py():
-        return {}
-    coords = coords.filter(valid)
-    parents = pc.take(edges["subj"].combine_chunks(), idx.filter(valid))
-    vals = pd.to_numeric(
-        pd.Series(coords["obj"].to_numpy(zero_copy_only=False)), errors="coerce"
-    ).to_numpy(np.float64)
-    is_lat = pc.is_in(
-        coords["pred"], value_set=pa.array(LAT_PREDS, pa.large_string())
-    ).to_numpy(zero_copy_only=False)
-    df = pd.DataFrame(
-        {
-            "parent": parents.to_numpy(zero_copy_only=False),
-            "lat": np.where(is_lat, vals, np.nan),
-            "lon": np.where(~is_lat, vals, np.nan),
-        }
-    )
-    # .last() takes the last non-null per column — same overwrite-wins
-    # semantics as the old dict assignment, skipping unparsable values
-    g = df.groupby("parent", sort=False).last()
-    ok = g["lat"].notna() & g["lon"].notna()
-    g = g[ok]
-    return {
-        p: (la / 1000.0, lo / 1000.0)
-        for p, la, lo in zip(g.index, g["lat"].to_numpy(), g["lon"].to_numpy())
-    }
-
-
-def link_triples_batch(
-    batch: pa.Table, index: RegistryIndex, mainstems_enabled: dict[str, bool]
-) -> pa.Table:
-    """Pure per-batch link kernel (the body of link_stage's tasks).
-
-    Spatial-first (J1): each feature's geo point probes the broadcast
-    grid bbox index; candidates are disambiguated by name; token blocking
-    remains the fallback for features without geometry."""
-    import pyarrow.compute as pc
-
-    is_name = pc.is_in(batch["pred"], value_set=pa.array(NAME_PREDS, pa.large_string()))
-    if not pc.any(is_name).as_py():
-        return batch
-    names_t = batch.filter(is_name)
-    # graph-enablement gate as a vectorized set membership (the enabled
-    # set is small — one entry per source)
-    enabled_graphs = pa.array(
-        sorted(g for g, on in mainstems_enabled.items() if on), pa.large_string()
-    )
-    enabled = pc.is_in(names_t["graph"], value_set=enabled_graphs)
-    if not pc.any(enabled).as_py():
-        return batch
-    sub = names_t.filter(enabled)
-    names = pd.Series(sub["obj"].to_numpy(zero_copy_only=False))
-    pts = _subject_points(batch)
-    # one dict probe per NAME row (≈1 per document — bounded); the linker
-    # kernel itself is vectorized numpy
-    points = [pts.get(s) for s in sub["subj"].to_numpy(zero_copy_only=False)]
-    matched, _pids, mainstems = index.link_spatial_batch(names, points)
-    # Arrow-native assembly (round-3 verdict item 8): matched rows with a
-    # mainstem become link triples via filter/take — no per-row tuple list
-    ms = pa.array(mainstems, pa.large_string())
-    keep = pc.and_(pa.array(matched), ms.is_valid())
-    if not pc.any(keep).as_py():
-        return batch
-    sel = sub.filter(keep).cast(TRIPLE_SCHEMA)
-    n = sel.num_rows
-    extra = pa.Table.from_arrays(
-        [
-            sel["subj"].combine_chunks(),
-            pa.array([LINEAR_ELEMENT] * n, pa.large_string()),
-            ms.filter(keep),
-            pa.array(np.zeros(n, bool)),
-            sel["graph"].combine_chunks(),
-        ],
-        schema=TRIPLE_SCHEMA,
-    )
-    return pa.concat_tables([batch.cast(TRIPLE_SCHEMA), extra])
-
-
-#: per-worker-process cache of broadcast objects (task-mode "load once per
-#: worker" — the same amortization an actor pool gives, without the pool's
-#: creation ramp; keyed by ObjectRef hex so repeated jobs coexist).
-_BROADCAST_CACHE: dict[str, object] = {}
-
-
-def _cached_get(ref):
-    if not isinstance(ref, ray.ObjectRef):
-        return ref
-    key = ref.hex()
-    if key not in _BROADCAST_CACHE:
-        _BROADCAST_CACHE[key] = ray.get(ref)
-    return _BROADCAST_CACHE[key]
-
-
-def link_stage(
-    triples: Dataset,
-    registry: pd.DataFrame,
-    sources: pd.DataFrame,
-    *,
-    batch_size: int | None = 8192,
-    index_cache_path: str | None = None,
-) -> Dataset:
-    """Append mainstem-link triples using the broadcast registry index.
-
-    Stateless tasks with a per-worker-process broadcast cache: the index
-    loads once per worker, with no actor-pool creation ramp, and the
-    linker fuses with the upstream extract/expand maps and scales to
-    every free CPU (the shape benchmarked for the N→4N criterion).
-
-    ``registry`` may also be a ``ray.ObjectRef`` to an ALREADY-RESIDENT
-    ``RegistryIndex`` (ST1 steady state: on a long-lived cluster the
-    index is broadcast once and reused across jobs, like the reference's
-    resident hydrofabric/validator services) — no per-job unpickle/put.
-    """
-    if isinstance(registry, ray.ObjectRef):
-        registry_ref = registry
-    else:
-        index = build_or_load_index(registry, index_cache_path)
-        registry_ref = ray.put(index)  # build once, broadcast
-    enabled = dict(zip(sources["source_id"], sources["add_associated_mainstems"]))
-
-    def link_fn(batch: pa.Table) -> pa.Table:
-        idx = _cached_get(registry_ref)
-        return link_triples_batch(batch, idx, enabled)
-
-    return triples.map_batches(
-        link_fn,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-    )
-
-
-#: sentinels for the grouped point merge: Arrow's hash max would skip
-#: nulls, but sentinels make the merge independent of null semantics
+#: sentinels for the point merge: Arrow's hash max would skip nulls, but
+#: sentinels make the merge independent of null semantics
 _NO_PARENT = ""
 _NO_COORD = -np.inf
 
@@ -619,13 +460,19 @@ POINT_PARTIAL_SCHEMA = pa.schema(
     ]
 )
 
+#: the point merges: partials keyed on the blank label, then the finished
+#: points keyed on the feature (a feature with several geo blanks)
+_BLANK_AGGS = {"parent": "max", "lat": "max", "lon": "max"}
+_SUBJ_AGGS = {"lat": "max", "lon": "max"}
+
 
 def _point_partials_batch(batch: pa.Table) -> pa.Table:
-    """Per-batch partial rows for the grouped point resolution: one row
-    per geo EDGE (blank, parent, -inf, -inf) and one per COORD row
-    (blank, "", lat|-inf, lon|-inf).  Blank-node labels are globally
-    unique (``_:<root>#b<n>``, stages/expand.py), so the downstream
-    key merge is exact even when a document straddles batches."""
+    """The point kernel's partials: one row per geo EDGE (blank, parent,
+    -inf, -inf) and one per COORD row (blank, "", lat|-inf, lon|-inf).
+    Blank-node labels are globally unique (``_:<root>#b<n>``,
+    stages/expand.py), so the max merge keyed on the blank is exact over
+    any cut of the stream: the partials of any blocks re-aggregate to the
+    partials of their concatenation."""
     import pyarrow.compute as pc
 
     geo_mask = pc.is_in(batch["pred"], value_set=pa.array(GEO_PREDS, pa.large_string()))
@@ -677,50 +524,187 @@ def _point_partials_batch(batch: pa.Table) -> pa.Table:
     return pa.concat_tables(parts)
 
 
+def _finish_points(t: pa.Table) -> pa.Table:
+    """Blank-keyed merged partials → ``(subj, lat, lon)`` in registry
+    units, one row per blank that has a geo edge and both coordinates.
+    Coordinates are in milli-units in the corpus; divided to match the
+    registry bboxes."""
+    import pyarrow.compute as pc
+
+    lat = t["lat"].to_numpy(zero_copy_only=False)
+    lon = t["lon"].to_numpy(zero_copy_only=False)
+    has_parent = pc.not_equal(
+        t["parent"], pa.scalar(_NO_PARENT, pa.large_string())
+    ).to_numpy(zero_copy_only=False)
+    ok = has_parent & (lat > _NO_COORD) & (lon > _NO_COORD)
+    return pa.table(
+        {
+            "subj": t["parent"].filter(pa.array(ok)),
+            "lat": pa.array(lat[ok] / 1000.0, pa.float64()),
+            "lon": pa.array(lon[ok] / 1000.0, pa.float64()),
+        }
+    )
+
+
+_merge_blanks = agg_kernel(["blank"], _BLANK_AGGS)[2]
+_merge_subjects = agg_kernel(["subj"], _SUBJ_AGGS)[2]
+
+
+def _subject_points(batch: pa.Table) -> dict[str, tuple[float, float]]:
+    """subject → (lat, lon) from its geo blank nodes, in registry units:
+    the point kernel (:func:`_point_partials_batch`, the blank merge,
+    :func:`_finish_points`, the subject merge) run in process over one
+    batch, so a point resolves only when its geo edge and coordinates
+    share the batch.  The linker maps whole expansion blocks, which hold
+    whole documents (see :func:`link_stage`); :func:`resolve_points_grouped`
+    runs the same kernel across blocks.  Duplicate coordinates, and a
+    blank with several geo edges, resolve by max."""
+    parts = _point_partials_batch(batch)
+    if not parts.num_rows:
+        return {}
+    pts = _merge_subjects(_finish_points(_merge_blanks(parts, None, False)), None, False)
+    lat, lon = (pts[c].to_numpy().tolist() for c in ("lat", "lon"))
+    return dict(zip(pts["subj"].to_numpy(zero_copy_only=False).tolist(), zip(lat, lon)))
+
+
 def resolve_points_grouped(triples: Dataset) -> Dataset:
-    """Contiguity-FREE feature-point resolution (ROADMAP §4): the grouped
-    analogue of :func:`_subject_points`, for streams where a document's
-    rows may straddle blocks (e.g. re-blocked / re-read expansion
-    output).  One `sorted_agg_by` merge keyed on the globally-unique
-    blank label pairs each geo edge with its coordinate rows regardless
-    of which batch they landed in; only the pruned (blank, parent, lat,
-    lon) rows shuffle — the triple stream itself is never exchanged.
+    """Contiguity-free feature points: the point kernel of
+    :func:`_subject_points` run across the stream, for streams where a
+    document's rows may straddle blocks (re-blocked, sorted or
+    pred-partitioned triples).  Each block's partials go through one
+    `sorted_agg_by` merge keyed on the globally unique blank label, so a
+    geo edge pairs with its coordinate rows whichever block they landed
+    in; only the pruned (blank, parent, lat, lon) rows are exchanged,
+    never the triple stream.
 
-    Returns a Dataset ``(subj, lat, lon)`` in registry units.  Duplicate
-    coordinates per blank resolve by max (batch-local mode resolves by
-    last-in-batch — an order the re-blocked stream no longer defines);
-    corpus documents carry one geo edge + one lat/lon per blank, where
-    the two agree exactly."""
-    from .segments import sorted_agg_by
-
+    Returns a Dataset ``(subj, lat, lon)`` in registry units, one row per
+    feature.  Duplicate coordinates resolve by max, as in
+    :func:`_subject_points`; corpus documents carry one geo edge and one
+    lat/lon per blank."""
     parts = triples.map_batches(
-        _point_partials_batch, batch_format="pyarrow", zero_copy_batch=True
+        _point_partials_batch, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
-    merged = sorted_agg_by(
-        parts, "blank", {"parent": "max", "lat": "max", "lon": "max"}
+    merged = sorted_agg_by(parts, "blank", _BLANK_AGGS)
+    pts = merged.map_batches(_finish_points, batch_format="pyarrow", zero_copy_batch=True)
+    return sorted_agg_by(pts, "subj", _SUBJ_AGGS)
+
+
+def _link_triples(
+    index: RegistryIndex, subj, graph, names: pd.Series, points: list
+) -> pa.Table:
+    """``hyf:linearElement`` triples for the name rows ``(subj, graph,
+    names)`` whose spatial-first link (``points`` aligned with ``names``,
+    None where a feature has no point) matched a registry feature with a
+    mainstem."""
+    import pyarrow.compute as pc
+
+    matched, _pids, mainstems = index.link_spatial_batch(names, points)
+    ms = pa.array(mainstems, pa.large_string())
+    keep = pc.and_(pa.array(matched), ms.is_valid())
+    ms = ms.filter(keep)
+    n = len(ms)
+    return pa.Table.from_arrays(
+        [
+            pc.cast(subj.filter(keep), pa.large_string()),
+            pa.array([LINEAR_ELEMENT] * n, pa.large_string()),
+            ms,
+            pa.array(np.zeros(n, bool)),
+            pc.cast(graph.filter(keep), pa.large_string()),
+        ],
+        schema=TRIPLE_SCHEMA,
     )
 
-    def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
 
-        lat = t["lat"].to_numpy(zero_copy_only=False)
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        has_parent = pc.not_equal(
-            t["parent"], pa.scalar(_NO_PARENT, pa.large_string())
-        ).to_numpy(zero_copy_only=False)
-        ok = has_parent & (lat > _NO_COORD) & (lon > _NO_COORD)
-        t = t.filter(pa.array(ok))
-        return pa.table(
-            {
-                "subj": t["parent"],
-                "lat": pa.array(lat[ok] / 1000.0, pa.float64()),
-                "lon": pa.array(lon[ok] / 1000.0, pa.float64()),
-            }
-        )
+def link_triples_batch(
+    batch: pa.Table, index: RegistryIndex, mainstems_enabled: dict[str, bool]
+) -> pa.Table:
+    """Pure per-batch link kernel (the body of link_stage's tasks).
 
-    pts = merged.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-    # a feature with several geo blanks collapses to one point per subj
-    return sorted_agg_by(pts, "subj", {"lat": "max", "lon": "max"})
+    Spatial-first (J1): each feature's geo point probes the broadcast
+    grid bbox index; candidates are disambiguated by name; token blocking
+    remains the fallback for features without geometry."""
+    import pyarrow.compute as pc
+
+    is_name = pc.is_in(batch["pred"], value_set=pa.array(NAME_PREDS, pa.large_string()))
+    if not pc.any(is_name).as_py():
+        return batch
+    names_t = batch.filter(is_name)
+    # graph-enablement gate as a vectorized set membership (the enabled
+    # set is small — one entry per source)
+    enabled_graphs = pa.array(
+        sorted(g for g, on in mainstems_enabled.items() if on), pa.large_string()
+    )
+    enabled = pc.is_in(names_t["graph"], value_set=enabled_graphs)
+    if not pc.any(enabled).as_py():
+        return batch
+    sub = names_t.filter(enabled)
+    names = pd.Series(sub["obj"].to_numpy(zero_copy_only=False))
+    pts = _subject_points(batch)
+    # one dict probe per NAME row (≈1 per document — bounded); the linker
+    # kernel itself is vectorized numpy
+    points = [pts.get(s) for s in sub["subj"].to_numpy(zero_copy_only=False)]
+    extra = _link_triples(index, sub["subj"], sub["graph"], names, points)
+    if not extra.num_rows:
+        return batch
+    return pa.concat_tables([batch.cast(TRIPLE_SCHEMA), extra])
+
+
+#: per-worker-process cache of broadcast objects (task-mode "load once per
+#: worker" — the same amortization an actor pool gives, without the pool's
+#: creation ramp; keyed by ObjectRef hex so repeated jobs coexist).
+_BROADCAST_CACHE: dict[str, object] = {}
+
+
+def _cached_get(ref):
+    if not isinstance(ref, ray.ObjectRef):
+        return ref
+    key = ref.hex()
+    if key not in _BROADCAST_CACHE:
+        _BROADCAST_CACHE[key] = ray.get(ref)
+    return _BROADCAST_CACHE[key]
+
+
+def link_stage(
+    triples: Dataset,
+    registry: pd.DataFrame,
+    sources: pd.DataFrame,
+    *,
+    index_cache_path: str | None = None,
+) -> Dataset:
+    """Append mainstem-link triples using the broadcast registry index.
+
+    Stateless tasks with a per-worker-process broadcast cache: the index
+    loads once per worker, with no actor-pool creation ramp, and the
+    linker fuses with the upstream extract/expand maps and scales to
+    every free CPU (the shape benchmarked for the N→4N criterion).
+
+    Each task maps one whole block and resolves its geo points in
+    process (:func:`_subject_points`): an expansion block holds whole
+    documents.  For a stream whose blocks cut documents,
+    :func:`link_stage_grouped` runs the same point kernel across blocks.
+
+    ``registry`` may also be a ``ray.ObjectRef`` to an ALREADY-RESIDENT
+    ``RegistryIndex`` (ST1 steady state: on a long-lived cluster the
+    index is broadcast once and reused across jobs, like the reference's
+    resident hydrofabric/validator services) — no per-job unpickle/put.
+    """
+    if isinstance(registry, ray.ObjectRef):
+        registry_ref = registry
+    else:
+        index = build_or_load_index(registry, index_cache_path)
+        registry_ref = ray.put(index)  # build once, broadcast
+    enabled = dict(zip(sources["source_id"], sources["add_associated_mainstems"]))
+
+    def link_fn(batch: pa.Table) -> pa.Table:
+        idx = _cached_get(registry_ref)
+        return link_triples_batch(batch, idx, enabled)
+
+    return triples.map_batches(
+        link_fn,
+        batch_format="pyarrow",
+        batch_size=None,
+        zero_copy_batch=True,
+    )
 
 
 def link_stage_grouped(
@@ -728,23 +712,20 @@ def link_stage_grouped(
     registry: pd.DataFrame,
     sources: pd.DataFrame,
     *,
-    num_partitions: int | None = None,
     index_cache_path: str | None = None,
 ) -> Dataset:
     """Contiguity-free :func:`link_stage`: identical link semantics for a
-    stream where documents may STRADDLE blocks (the batch-local geo
-    resolution's one assumption — ROADMAP §4).
+    stream where documents may STRADDLE blocks.
 
-    Shape: the name rows (≈1/document) and resolved points (≈1/document)
-    are pruned out of the stream and hash-joined on the feature subject;
-    the joined rows probe the broadcast registry index and emit ONLY the
-    extra link triples, unioned back onto the untouched stream.  Cost vs
-    the fused batch-local path: one shuffle of the pruned name/point
-    rows — never of the triple stream — so this stays viable at 100 TB
-    when an upstream re-block breaks contiguity."""
+    Shape: the name rows (≈1/document) and the points of
+    :func:`resolve_points_grouped` (≈1/document) are pruned out of the
+    stream and hash-joined on the feature subject; the joined rows probe
+    the broadcast registry index and emit ONLY the extra link triples,
+    unioned back onto the untouched stream.  Cost vs the fused
+    whole-block path: one shuffle of the pruned name/point rows — never
+    of the triple stream — so this stays viable at 100 TB when an
+    upstream re-block breaks contiguity."""
     import pyarrow.compute as pc
-
-    from .segments import _drop_empty_blocks
 
     if isinstance(registry, ray.ObjectRef):
         registry_ref = registry
@@ -773,17 +754,11 @@ def link_stage_grouped(
         triples.map_batches(name_rows, batch_format="pyarrow", zero_copy_batch=True)
     )
     pts = _drop_empty_blocks(resolve_points_grouped(triples))
-    if num_partitions:
-        n_parts = num_partitions
-    else:
-        n_parts = min(
-            max(2, names.num_blocks()),
-            max(2, int(ray.cluster_resources().get("CPU", 8))),
-        )
-    joined = _drop_empty_blocks(names.join(pts, "left_outer", n_parts, on=("subj",)))
+    joined = _drop_empty_blocks(
+        names.join(pts, "left_outer", join_partitions(names), on=("subj",))
+    )
 
     def probe(t: pa.Table) -> pa.Table:
-        idx = _cached_get(registry_ref)
         names_s = pd.Series(t["name"].to_numpy(zero_copy_only=False))
         lat = t["lat"].to_numpy(zero_copy_only=False)
         lon = t["lon"].to_numpy(zero_copy_only=False)
@@ -793,23 +768,7 @@ def link_stage_grouped(
         points = [
             (la, lo) if v else None for la, lo, v in zip(lat, lon, valid)
         ]
-        matched, _pids, mainstems = idx.link_spatial_batch(names_s, points)
-        ms = pa.array(mainstems, pa.large_string())
-        keep = pc.and_(pa.array(matched), ms.is_valid())
-        if not pc.any(keep).as_py():
-            return TRIPLE_SCHEMA.empty_table()
-        sel = t.filter(keep)
-        n = sel.num_rows
-        return pa.Table.from_arrays(
-            [
-                sel["subj"].combine_chunks(),
-                pa.array([LINEAR_ELEMENT] * n, pa.large_string()),
-                ms.filter(keep),
-                pa.array(np.zeros(n, bool)),
-                sel["graph"].combine_chunks(),
-            ],
-            schema=TRIPLE_SCHEMA,
-        )
+        return _link_triples(_cached_get(registry_ref), t["subj"], t["graph"], names_s, points)
 
     extra = joined.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 

@@ -83,6 +83,16 @@ def _drop_empty_blocks(ds: Dataset) -> Dataset:
     return rd.from_arrow_refs(refs)
 
 
+def join_partitions(ds: Dataset) -> int:
+    """Partition count for Ray's hash join of the materialized ``ds``: one
+    per block, at least 2, at most the cluster's CPUs.  Each partition
+    wants an aggregator actor (globally capped at 64), and more
+    partitions than schedulable actors deadlock the join on small
+    clusters."""
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return min(max(2, ds.num_blocks()), max(2, cpus))
+
+
 def run_starts(t: pa.Table, keys: "list[str]") -> np.ndarray:
     """Row indices where a new key run starts in a key-sorted table
     (nulls equal nulls, as in the border comparison)."""

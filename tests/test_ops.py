@@ -306,13 +306,13 @@ def test_feature_table_pivot(fixture_sf0001):
     assert row["geometry"][:1] == b"\x01" and "hilbert" in feats
 
 
-def test_pivot_partial_one_schema():
-    """Every pivot block has one Arrow schema: an empty block, and a block
-    whose features lack some fields, type every column as the full one
-    does (no ``null``-typed column next to a ``string`` one)."""
-    from scheduler_ray.pipelines.export import _pivot_partial
+def test_feature_fields_one_schema():
+    """Every field-projection block has one Arrow schema: an empty block,
+    and a block whose features lack some fields, type every column as the
+    full one does (no ``null``-typed column next to a ``string`` one)."""
+    from scheduler_ray.pipelines.export import _feature_fields
 
-    b = pd.DataFrame(
+    b = pa.table(
         {
             "subj": ["f1", "f1", "_:f1#b0", "_:f1#b0", "f2"],
             "pred": ["schema:name", "schema:geo", "schema:latitude", "schema:longitude",
@@ -321,20 +321,22 @@ def test_pivot_partial_one_schema():
             "graph": ["g1", "g1", "g1", "g1", "g2"],
         }
     )
-    full, sparse, empty = _pivot_partial(b), _pivot_partial(b.iloc[4:]), _pivot_partial(b.iloc[:0])
+    full, sparse, empty = _feature_fields(b), _feature_fields(b.slice(4)), _feature_fields(b.slice(0, 0))
     assert sparse.schema == full.schema == empty.schema
+    # blank-node rows are the points' business, not the projection's
     assert full.to_pylist()[0] == {
         "id": "f1", "geoconnex_sitemap": "g1", "feature_name": "N",
-        "feature_description": None, "lat_milli": "1", "lon_milli": "2",
+        "feature_description": None, "lat": None, "lon": None,
     }
+    assert full["id"].to_pylist() == ["f1", "f1", "f2"]
     assert sparse.num_rows == 1 and empty.num_rows == 0
 
 
 def test_feature_table_grouped_pivot_contiguity_free(fixture_sf0001):
-    """pivot_mode='grouped' must reproduce the contiguous pivot even when
-    every document's rows are scattered across batches (the contiguous
-    mode's documented assumption, dropped via the join-based blank
-    resolution — ROADMAP §4)."""
+    """feature_table must give the same table when every document's rows
+    are scattered across batches as over the contiguous stream: its
+    points merge across blocks, so it assumes no document locality
+    (ROADMAP §4)."""
     import ray.data as rd
 
     from scheduler_ray.pipelines import export as ex
@@ -351,7 +353,7 @@ def test_feature_table_grouped_pivot_contiguity_free(fixture_sf0001):
     # doc's rows across range partitions
     scattered = canon.sort("obj").materialize()
     got = (
-        ex.feature_table(scattered, pivot_mode="grouped")
+        ex.feature_table(scattered)
         .to_pandas()[want.columns.tolist()]
         .sort_values("id")
         .reset_index(drop=True)

@@ -498,3 +498,96 @@ def test_lag_kernel_matches_pandas_any_layout(keys, cuts, rnd):
     ).sort_values(["k", "o"])
     got = _scan(df, cuts, ["k"], lag_kernel("k", "v"))
     np.testing.assert_array_equal(got["lag"], df.groupby("k")["v"].shift().to_numpy())
+
+
+# ---- the geo-point kernel ----------------------------------------------
+#
+# link._subject_points (one batch, in process), link.resolve_points_grouped
+# (per-block partials merged across the stream) and export.feature_table
+# share one kernel: _point_partials_batch, the blank-keyed max merge,
+# _finish_points and the subject-keyed max merge.  Its partials must
+# re-aggregate exactly over any cut of the triples, 1-row blocks and
+# cuts between a geo edge and its coordinates included.
+
+# (feature, blank, coordinate rows, lat, lon) per geo edge
+_geo_edge_st = st.tuples(
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.sampled_from(["both", "lat", "lon", "none", "bad"]),
+    st.integers(-90000, 90000),
+    st.integers(-180000, 180000),
+)
+
+
+def _geo_triples(edges, rnd):
+    """Shuffled triples of ``edges`` and their points, built naively:
+    per blank the max of each parsed coordinate, per feature the max over
+    its blanks that have both, in registry units (milli-units / 1000)."""
+    rows, blanks = [], {}
+    for f, b, kind, lat, lon in edges:
+        blank = f"_:f{f}#b{b}"
+        rows += [(f"f{f}", "schema:geo", blank), (f"f{f}", "schema:name", f"F {f}")]
+        got = blanks.setdefault(blank, {"subj": f"f{f}", "lat": [], "lon": []})
+        if kind in ("both", "lat"):
+            rows.append((blank, "schema:latitude", str(lat)))
+            got["lat"].append(lat)
+        if kind in ("both", "lon"):
+            rows.append((blank, "https://schema.org/longitude", str(lon)))
+            got["lon"].append(lon)
+        if kind == "bad":
+            rows.append((blank, "schema:latitude", "n/a"))
+    # coordinates of a blank no geo edge points at resolve nothing
+    rows.append(("_:orphan#b0", "schema:latitude", "1"))
+    rows.append(("_:orphan#b0", "schema:longitude", "2"))
+    rnd.shuffle(rows)
+    per_subj: dict = {}
+    for got in blanks.values():
+        if got["lat"] and got["lon"]:
+            per_subj.setdefault(got["subj"], []).append((max(got["lat"]), max(got["lon"])))
+    want = {
+        s: (max(p[0] for p in ps) / 1000.0, max(p[1] for p in ps) / 1000.0)
+        for s, ps in per_subj.items()
+    }
+    ls = pa.large_string()
+    t = pa.table(
+        {
+            "subj": pa.array([r[0] for r in rows], ls),
+            "pred": pa.array([r[1] for r in rows], ls),
+            "obj": pa.array([r[2] for r in rows], ls),
+            "obj_is_literal": pa.array([r[1] != "schema:geo" for r in rows]),
+            "graph": pa.array(["g"] * len(rows), ls),
+        }
+    )
+    return t, want
+
+
+def _points_over_blocks(blocks):
+    """resolve_points_grouped's kernel calls without Ray: each block's
+    partials merged by blank, then all of them merged again, finished,
+    and merged by feature."""
+    from scheduler_ray.stages.link import (
+        _finish_points,
+        _merge_blanks,
+        _merge_subjects,
+        _point_partials_batch,
+    )
+
+    parts = [_merge_blanks(_point_partials_batch(b), None, False) for b in blocks]
+    merged = _merge_blanks(pa.concat_tables(parts), None, False)
+    pts = _merge_subjects(_finish_points(merged), None, False)
+    return dict(zip(pts["subj"].to_pylist(), zip(pts["lat"].to_pylist(), pts["lon"].to_pylist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_geo_edge_st, min_size=1, max_size=20), _cuts_st, st.randoms())
+@example([(0, 0, "both", 500, -700)], [1, 2], random.Random(0))
+def test_point_kernel_partials_any_layout(edges, cuts, rnd):
+    from scheduler_ray.stages.link import _subject_points
+
+    t, want = _geo_triples(edges, rnd)
+    assert _subject_points(t) == want
+    bounds = [0, *sorted(min(c, t.num_rows) for c in cuts), t.num_rows]
+    blocks = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    assert _points_over_blocks(blocks) == want
+    # 1-row blocks: every geo edge is cut from its coordinates
+    assert _points_over_blocks([t.slice(i, 1) for i in range(t.num_rows)]) == want

@@ -34,11 +34,6 @@ class PipelineConfig:
     #: validate documents against the SHACL-subset shapes during expansion
     #: (single parse; the reference's validate-during-harvest contract)
     validate_docs: bool = True
-    #: file-level resume for the single-pass writer: elide puts whose
-    #: content-named target already exists (a crashed run's surviving
-    #: files are byte-identical by construction).  Off by default so a
-    #: fresh run over a dirty out_dir never silently trusts stale files.
-    file_resume: bool = False
 
     @classmethod
     def for_cpus(cls, num_cpus: int) -> "PipelineConfig":

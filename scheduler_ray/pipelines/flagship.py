@@ -230,7 +230,7 @@ def run_flagship(
 
         raw = raw_triples(pages, registry, sources, cfg, cache)
         write_canonical_single_pass(
-            raw, out_dir, drop_sameas=cfg.drop_sameas, resume=cfg.file_resume,
+            raw, out_dir, drop_sameas=cfg.drop_sameas,
             # the same broadcast ceiling the two-pass canonical path uses:
             # past it the writer's fixup runs as a distributed second pass
             # instead of merging one plasma LUT (ROADMAP §2)

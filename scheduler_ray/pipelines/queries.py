@@ -1116,7 +1116,7 @@ def q_embed_neardup_groups(sf_dir: str):
     → one keeper (min vec_id) per cluster, mapping every member to it.
     With the planted exact copies each cluster is {x, x+PLANT_OFFSET} and
     the keeper is x — an exact SQL oracle."""
-    from ..stages.canonicalize import _merge_pairs_idx
+    from ..stages.canonicalize import _close_codes
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -1128,18 +1128,14 @@ def q_embed_neardup_groups(sf_dir: str):
 
     corpus = emb.map_batches(plant, batch_format="pandas")
     pairs = sim.near_duplicates_embedding(corpus, threshold=0.95).to_pandas()
-    # integer min-label union-find over the (small) pair set: numeric ids
-    # are zero-padded so lexicographic == numeric order (min id = keeper)
-    a = np.array([f"{v:012d}" for v in pairs["vec_a"]], object)
-    b = np.array([f"{v:012d}" for v in pairs["vec_b"]], object)
-    canon_idx, uniq = _merge_pairs_idx(a, b)
-    changed = np.flatnonzero(canon_idx != np.arange(len(uniq)))
-    return pd.DataFrame(
-        {
-            "vec_id": [int(uniq[i]) for i in changed],
-            "keeper": [int(uniq[canon_idx[i]]) for i in changed],
-        }
-    ).sort_values("vec_id").reset_index(drop=True)
+    # the integer union-find over the (small) pair set: np.unique codes
+    # follow numeric order, so each cluster's smallest code is its min id
+    ids, codes = np.unique(
+        np.concatenate([pairs["vec_a"], pairs["vec_b"]]), return_inverse=True
+    )
+    keeper = _close_codes(codes[: len(pairs)], codes[len(pairs):], len(ids))
+    changed = np.flatnonzero(keeper != np.arange(len(ids)))
+    return pd.DataFrame({"vec_id": ids[changed], "keeper": ids[keeper[changed]]})
 
 
 SQL_EMBED_NEARDUP_GROUPS = f"""

@@ -13,7 +13,7 @@ Ray-Data-first, shuffle-free for the big side:
    (``map_batches`` predicate — the edge set is a tiny fraction of the
    triples).
 2. Per-batch **union-find combiner** (:func:`collect_sameas_edges`):
-   each batch collapses its edges locally and emits at most one
+   each batch closes its edges locally and emits at most one
    ``(node, root)`` pair per distinct node — the classic mergeable-summary
    pattern, so nothing downstream ever sees the raw triples.
 3. :class:`_PairMerger` tree-merges the pair tables **on workers** (the
@@ -27,6 +27,13 @@ Ray-Data-first, shuffle-free for the big side:
 4. The LUT stays in plasma and :class:`CanonicalRewriter` — the one
    rewrite kernel — applies it with a vectorized hash probe inside
    ``map_batches``: no shuffle of the triple set at all.
+
+Every in-process closure — the per-batch combiner, the tree merge's
+exact path and the embedding near-dup groups — is ONE exact kernel:
+:func:`_canonical_pairs` numbers the URIs in canonical order and
+:func:`_close_codes` closes them by hook-and-compress union-find, with no
+round cap, so an alias chain of any length lands on one canonical.  The
+FP-Hadoop combine/merge tree is exact only because each combine is.
 
 Scale note: if the alias set itself outgrows one plasma object, swap
 steps 3-4 for :func:`canonicalize_stage_joined` (hash-partitioned
@@ -92,66 +99,95 @@ class UnionFind:
 
 
 def sameas_edges_batch(batch: pa.Table) -> pa.Table:
-    """Compress one batch of triples to (node, root) pairs.
+    """Compress one batch of triples to (node, canonical) pairs.
 
-    Each batch collapses its own sameAs edges with the vectorized
-    min-label kernel (``_merge_pairs_idx`` — factorize + numpy label
-    propagation, no per-edge Python loop) and emits node → *canonical*
-    (PID-preferring, deterministic) pairs.  Because a document's sameAs
-    edges are emitted adjacently by the expansion stage, within-batch
-    closure resolves nearly every cluster — the tree merge then only
-    deduplicates identical pairs and pointer-jumps the rare cross-batch
-    chain (see :class:`_PairMerger`).
+    Each batch closes its own sameAs edges exactly with
+    :func:`_canonical_pairs` (one Arrow sort, then the integer
+    union-find :func:`_close_codes` — no per-edge Python loop, no round
+    cap) and emits one node → *canonical* (PID-preferring, deterministic)
+    pair per aliased node.  Because a document's sameAs edges are emitted
+    adjacently by the expansion stage, within-batch closure resolves
+    nearly every cluster — the tree merge then only deduplicates
+    identical pairs and closes the rare cross-batch chain (see
+    :class:`_PairMerger`).
     """
-    mask = _is_sameas(batch["pred"])
-    edges = batch.filter(mask)
-    if edges.num_rows == 0:
+    edges = batch.filter(_is_sameas(batch["pred"]))
+    return _canonical_pairs(edges["subj"], edges["obj"])
+
+
+def _close_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Exact connected components of the edges ``a[i] — b[i]`` over the
+    codes ``0..n-1``: each code's component minimum.
+
+    Hook-and-compress: each round, every edge whose endpoints have
+    different roots hooks the larger root onto the smaller
+    (``np.minimum.at``), then ``parent = parent[parent]`` repeats until it
+    stops changing.  A root only ever points at a smaller code, so no
+    cycle forms, and each round with a live edge removes at least one
+    root, so the loop ends — with no round cap — once no edge joins two
+    roots.  On a random-order alias path the rounds grow with the log of
+    its length, not with its diameter (13 rounds at 10⁶ nodes).
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        live = ra != rb
+        if not live.any():
+            return parent
+        # an edge inside one root's tree never goes live again
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+def _canonical_pairs(nodes, roots) -> pa.Table:
+    """Close the string edges ``nodes[i] — roots[i]`` exactly: one
+    :data:`PAIR_SCHEMA` row per member that is not its cluster's
+    canonical.
+
+    The unique URIs are numbered in canonical order — PIDs first, then
+    lexicographic — by one Arrow ``sort_indices``, so the smallest code of
+    each component (:func:`_close_codes`) is its canonical.  Each unique
+    URI is hashed once; the hashes ride along so merge fast paths never
+    touch Python string objects.
+    """
+    n_edges = len(nodes)
+    if n_edges == 0:
         return PAIR_SCHEMA.empty_table()
-    subj = edges["subj"].to_numpy(zero_copy_only=False)
-    obj = edges["obj"].to_numpy(zero_copy_only=False)
-    canon_idx, uniq = _merge_pairs_idx(subj, obj)
-    changed = np.flatnonzero(canon_idx != np.arange(len(uniq)))
-    nodes = uniq[changed]
-    roots = uniq[canon_idx[changed]]
-    node_hash = _hash_large_string(nodes) if len(nodes) else np.array([], np.uint64)
-    root_hash = _hash_large_string(roots) if len(roots) else np.array([], np.uint64)
-    # hashes computed here (distributed) so the merge never touches
-    # Python string objects on its fast path
+    enc = pa.concat_arrays([_large_array(nodes), _large_array(roots)]).dictionary_encode()
+    uniq = enc.dictionary
+    not_pid = pc.invert(pc.starts_with(uniq, pattern=PID_PREFIX))
+    # order[c] = the dictionary index of canonical code c
+    order = pc.sort_indices(
+        pa.table({"not_pid": not_pid, "uri": uniq}),
+        sort_keys=[("not_pid", "ascending"), ("uri", "ascending")],
+    ).to_numpy()
+    code = np.empty(len(uniq), np.int64)
+    code[order] = np.arange(len(uniq))
+    codes = code[enc.indices.to_numpy()]
+    root = _close_codes(codes[:n_edges], codes[n_edges:], len(uniq))
+    changed = np.flatnonzero(root != np.arange(len(uniq)))
+    key_idx, val_idx = order[changed], order[root[changed]]
+    h = _hash_large_string(uniq)
     return pa.table(
         {
-            "node": pa.array(nodes, pa.large_string()),
-            "root": pa.array(roots, pa.large_string()),
-            "node_hash": pa.array(node_hash, pa.uint64()),
-            "root_hash": pa.array(root_hash, pa.uint64()),
-        }
+            "node": uniq.take(pa.array(key_idx)),
+            "root": uniq.take(pa.array(val_idx)),
+            "node_hash": pa.array(h[key_idx], pa.uint64()),
+            "root_hash": pa.array(h[val_idx], pa.uint64()),
+        },
+        schema=PAIR_SCHEMA,
     )
 
 
-def _merge_pairs_idx(nodes, roots, max_iters: int = 16):
-    import numpy as np
-    import pandas as pd
-
-    codes, uniq = pd.factorize(np.concatenate([nodes, roots]))
-    n_edges = len(nodes)
-    a, b = codes[:n_edges], codes[n_edges:]
-    not_pid = ~pd.Series(uniq).str.startswith(PID_PREFIX).to_numpy()
-    # rank PIDs first, lexicographic within rank — matches the per-batch
-    # combiner's choice so cross-batch clusters (incl. the pathological
-    # two-PID cluster) land on the same canonical everywhere.  This exact
-    # path only sees conflict subsets (the hash fast path handles the
-    # bulk), so string sorting here is cheap.
-    order = np.lexsort((uniq, not_pid))
-    pri = np.empty(len(uniq), np.int64)
-    pri[order] = np.arange(len(uniq))
-    lab = pri.copy()
-    for _ in range(max_iters):
-        old = lab.copy()
-        np.minimum.at(lab, a, lab[b])
-        np.minimum.at(lab, b, lab[a])
-        lab = np.minimum(lab, lab[order[lab]])  # pointer jump
-        if np.array_equal(lab, old):
-            break
-    return order[lab], uniq
+def _large_array(col) -> pa.Array:
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return pc.cast(col, pa.large_string())
 
 
 #: schema of the compressed (node → canonical) pair tables the combiner and
@@ -176,7 +212,7 @@ def _merge_pair_tables(tables: list[pa.Table]) -> pa.Table:
     on their 64-bit hashes, if no node appears twice and no canon is
     itself aliased, the pairs already ARE the merged mapping.  Any
     suspicion (conflict, chain, hash collision) falls through to the exact
-    string merge.
+    closure of the whole table (:func:`_canonical_pairs`).
     """
     tables = [t for t in tables if t.num_rows > 0]
     if not tables:
@@ -185,8 +221,8 @@ def _merge_pair_tables(tables: list[pa.Table]) -> pa.Table:
     hn = tbl["node_hash"].to_numpy()
     hr = tbl["root_hash"].to_numpy()
     # no explicit pair dedup here: duplicate (node, root) pairs imply a
-    # duplicate node hash, which routes to the exact path — and the exact
-    # path dedups pairs on exact integer codes
+    # duplicate node hash, which routes to the exact closure — where a
+    # duplicate is just one more edge inside its component
     hn_sorted = np.sort(hn)
     no_dups = bool((hn_sorted[1:] != hn_sorted[:-1]).all()) if len(hn) > 1 else True
     if no_dups:
@@ -195,15 +231,7 @@ def _merge_pair_tables(tables: list[pa.Table]) -> pa.Table:
         chained = hn_sorted[pos_c] == hr
         if not chained.any():
             return tbl
-    keys, vals = _resolve_pairs_exact(tbl)
-    return pa.table(
-        {
-            "node": keys,
-            "root": vals,
-            "node_hash": pa.array(_hash_large_string(keys), pa.uint64()),
-            "root_hash": pa.array(_hash_large_string(vals), pa.uint64()),
-        }
-    )
+    return _canonical_pairs(tbl["node"], tbl["root"])
 
 
 def collect_sameas_edges(triples: Dataset) -> Dataset:
@@ -222,70 +250,6 @@ def collect_sameas_edges(triples: Dataset) -> Dataset:
     return triples.map_batches(
         sameas_edges_batch, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-
-
-def _resolve_pairs_exact(tbl: pa.Table):
-    """Exact string-level merge of a pair table → (keys, vals) arrays.
-
-    Integer-coded via one factorize, then pure numpy: conflicted nodes
-    (same node, different canons) are resolved with the min-label merge
-    over just the conflicted subset; canons that are themselves aliased
-    are pointer-jumped to convergence.
-    """
-    import pandas as pd
-
-    pdf = tbl.select(["node", "root"]).to_pandas()
-    nodes_np, roots_np = pdf["node"].to_numpy(), pdf["root"].to_numpy()
-    codes, uniq = pd.factorize(np.concatenate([nodes_np, roots_np]))
-    n_pairs = len(nodes_np)
-    a, b = codes[:n_pairs].astype(np.int64), codes[n_pairs:].astype(np.int64)
-    # dedup identical pairs
-    pk = a * len(uniq) + b
-    pk_u = np.unique(pk)
-    a, b = pk_u // len(uniq), pk_u % len(uniq)
-    # conflicted nodes: same node, different canons across batches
-    a_sorted = np.sort(a)
-    dup_nodes = np.unique(a_sorted[:-1][a_sorted[:-1] == a_sorted[1:]]) if len(a) > 1 else np.array([], np.int64)
-    if len(dup_nodes):
-        # grow the conflict graph to the WHOLE connected components of the
-        # conflicted nodes: a member that also heads a pair outside the
-        # resolved set would come back as a new, unresolved conflict after
-        # the recombine below, and one of its links would be lost (one-hop
-        # growth did exactly that in multi-level merge trees)
-        conf_strings = np.zeros(len(uniq), bool)
-        conf_strings[dup_nodes] = True
-        n_conf = 0
-        while n_conf != conf_strings.sum():
-            n_conf = conf_strings.sum()
-            conf_mask = conf_strings[a] | conf_strings[b]
-            conf_strings[a[conf_mask]] = True
-            conf_strings[b[conf_mask]] = True
-        ca, cb = a[conf_mask], b[conf_mask]
-        canon_idx, cuniq = _merge_pairs_idx(uniq[ca], uniq[cb])
-        changed = np.flatnonzero(canon_idx != np.arange(len(cuniq)))
-        res_keys, res_vals = cuniq[changed], cuniq[canon_idx[changed]]
-        # recombine with the clean remainder (re-coded once more)
-        ka = np.concatenate([uniq[a[~conf_mask]], res_keys])
-        va = np.concatenate([uniq[b[~conf_mask]], res_vals])
-        codes, uniq = pd.factorize(np.concatenate([ka, va]))
-        half = len(ka)
-        a, b = codes[:half].astype(np.int64), codes[half:].astype(np.int64)
-    # pointer jumping (numpy): a canon that is itself aliased follows on.
-    # Loop until convergence (path length halves per round → ≤ log2(chain)
-    # rounds); a fixed iteration count would silently leave deep cross-batch
-    # chains canonicalized to an intermediate alias (ADVICE r1).
-    lut = np.full(len(uniq), -1, np.int64)
-    lut[a] = b
-    for _ in range(64):
-        jumped = lut[b]
-        mask = jumped >= 0
-        if not mask.any():
-            break
-        b = np.where(mask, jumped, b)
-    keep = a != b
-    keys = pa.array(uniq[a[keep]], pa.large_string())
-    vals = pa.array(uniq[b[keep]], pa.large_string())
-    return keys, vals
 
 
 def local_canonicalize_batch(tbl: pa.Table, drop_sameas: bool = True):
@@ -488,18 +452,7 @@ def _concat_lut_shards(*shards: tuple) -> tuple:
     pos = np.clip(np.searchsorted(kh, rh), 0, len(kh) - 1)
     escaped = not all(s[5] for s in live)
     if escaped or bool((kh[pos] == rh).any()):
-        merged = _merge_pair_tables(
-            [
-                pa.table(
-                    {
-                        "node": keys,
-                        "root": vals,
-                        "node_hash": pa.array(_hash_large_string(keys), pa.uint64()),
-                        "root_hash": pa.array(_hash_large_string(vals), pa.uint64()),
-                    }
-                )
-            ]
-        )
+        merged = _canonical_pairs(keys, vals)
         return build_rewrite_lut(
             merged["node"].combine_chunks(), merged["root"].combine_chunks()
         )
@@ -868,8 +821,6 @@ def connected_components_distributed(
     and edges co-partition on the join key per iteration (Ray's hash
     join); no driver-side state beyond scalars.
     """
-    import pandas as pd
-
     # ALL blocks stay Arrow: pandas blocks pickle Python string objects
     # across every shuffle/join hop (measured ~10× slower end-to-end);
     # Arrow blocks ship zero-copy.
@@ -923,7 +874,7 @@ def connected_components_distributed(
             joined = pc.binary_join_element_wise(
                 pc.cast(t["node"], LS), pc.cast(t["label"], LS), pa.scalar("\x00", LS)
             )
-            h = pd.util.hash_array(joined.to_numpy(zero_copy_only=False))
+            h = _hash_large_string(joined)
             return pa.table(
                 {
                     "s": pa.array([int(h.sum(dtype=np.uint64))], pa.uint64()),

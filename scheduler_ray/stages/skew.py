@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray.data import Dataset
 
@@ -49,14 +51,15 @@ def add_salt(
     (``id_cols`` if given, else every column) — never the batch-local
     positional index, which varies with Ray block boundaries (ADVICE r1).
     """
-    hot = set(hot_keys)
-
-    def salt(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        cols = b[id_cols] if id_cols else b
+    def salt(t: pa.Table) -> pa.Table:
+        # the pandas row hash keeps the salts of files already released
+        cols = t.select(id_cols or t.column_names).to_pandas()
         h = pd.util.hash_pandas_object(cols, index=False).to_numpy(np.uint64)
-        is_hot = b[key].isin(hot).to_numpy()
-        b[salt_col] = np.where(is_hot, (h % np.uint64(factor)).astype(np.int64), 0)
-        return b
+        hot = pa.array(hot_keys, t[key].type)
+        is_hot = pc.is_in(t[key], value_set=hot).to_numpy(zero_copy_only=False)
+        return t.append_column(
+            salt_col,
+            pa.array(np.where(is_hot, (h % np.uint64(factor)).astype(np.int64), 0), pa.int64()),
+        )
 
-    return ds.map_batches(salt, batch_format="pandas")
+    return ds.map_batches(salt, batch_format="pyarrow")

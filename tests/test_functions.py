@@ -104,7 +104,8 @@ def test_config_from_env():
     # (the phase-timings switch SCHEDULER_RAY_TIMINGS is gone as well,
     # and so are the never-set link-actor, salt, partition and extra knobs
     # and the sort mode of the removed global-sort write, and the linker's
-    # batch size: the linker maps whole blocks)
+    # batch size: the linker maps whole blocks, and the never-set file
+    # resume switch: the writer's own ``resume`` parameter remains)
     for var in (
         "SCHEDULER_RAY_STAGING_DIR",
         "SCHEDULER_RAY_EXTRACT_BATCHSIZE",
@@ -116,6 +117,7 @@ def test_config_from_env():
         "SCHEDULER_RAY_EXTRA",
         "SCHEDULER_RAY_SORT_MODE",
         "SCHEDULER_RAY_LINK_BATCH_SIZE",
+        "SCHEDULER_RAY_FILE_RESUME",
     ):
         with pytest.raises(ValueError, match=var):
             PipelineConfig.from_env({**env, var: "1"})

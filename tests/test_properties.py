@@ -93,6 +93,55 @@ def test_single_batch_combiner_matches_naive_uf(edges):
     assert got == _naive_canonical(edges)
 
 
+def _alias_path(rnd: random.Random, n: int, pid_at: int | None):
+    """The edges of one ``n``-node sameAs path whose URIs (and edge order
+    and direction) are shuffled, with the PID at ``pid_at`` or absent."""
+    names = [f"https://provider.example/a/{i}" for i in range(n)]
+    rnd.shuffle(names)
+    if pid_at is not None:
+        names[pid_at] = f"{PID_PREFIX}a/0"
+    edges = [(names[i], names[i + 1]) for i in range(n - 1)]
+    rnd.shuffle(edges)
+    return [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in edges]
+
+
+@st.composite
+def alias_path_st(draw):
+    n = draw(st.integers(2, 300))
+    pid_at = draw(st.none() | st.integers(0, n - 1))
+    return _alias_path(draw(st.randoms(use_true_random=False)), n, pid_at)
+
+
+_PATH_100 = _alias_path(random.Random(100), 100, 37)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alias_path_st())
+@example(_PATH_100)
+def test_combiner_closes_alias_paths(edges):
+    """One batch holding a long alias path in random order closes it
+    exactly: every alias maps to the one canonical (a capped label
+    propagation split such paths into several "canonicals")."""
+    out = sameas_edges_batch(_batch_of_edges(edges))
+    got = dict(zip(out["node"].to_pylist(), out["root"].to_pylist()))
+    assert got == _naive_canonical(edges)
+
+
+def test_merge_pair_tables_closes_cross_block_chain():
+    """100 one-edge blocks of one alias path, each compressed by the
+    combiner, merge into one cluster with one root (a pointer chase with
+    a round cap left the chain split)."""
+    from scheduler_ray.stages.canonicalize import _merge_pair_tables
+
+    rnd = random.Random(7)
+    edges = _alias_path(rnd, 101, None)
+    tables = [sameas_edges_batch(_batch_of_edges([e])) for e in edges]
+    merged = _merge_pair_tables(tables)
+    got = dict(zip(merged["node"].to_pylist(), merged["root"].to_pylist()))
+    assert len(set(got.values())) == 1
+    assert got == _naive_canonical(edges)
+
+
 @settings(max_examples=75, deadline=None)
 @given(edges_st, st.integers(1, 4))
 def test_cross_batch_merge_matches_naive_uf(edges, n_splits):

@@ -44,3 +44,33 @@ def test_salted_map_groups_counts():
     assert (out["k"] == "hot").sum() == 4
     merged = out.groupby("k")["n"].sum()
     assert merged["hot"] == 900 and merged.drop("hot").sum() == 100
+
+
+def test_add_salt_pinned():
+    """The salt of a row is golden: a salted release concatenates its
+    gzip members in salt order, so a changed salt changes the bytes of
+    every hot source's file.  Values recorded from the pandas-batch
+    implementation; a null key, a null flag and two hot keys included."""
+    t = pa.table(
+        {
+            "graph": pa.array(
+                ["hot", "cold", "hot", None, "hot", "warm", "hot", "cold"], pa.large_string()
+            ),
+            "subj": pa.array([f"https://x.example/s/{i}" for i in range(8)], pa.large_string()),
+            "n": pa.array([3, 1, 4, 1, 5, 9, 2, 6], pa.int64()),
+            "flag": pa.array([True, False, True, True, False, None, True, False]),
+        }
+    )
+    want = {
+        None: [1, 0, 0, 0, 3, 4, 4, 0],
+        ("subj",): [3, 0, 4, 0, 1, 4, 3, 0],
+        ("n", "graph"): [3, 0, 1, 0, 3, 1, 4, 0],
+    }
+    for id_cols, salts in want.items():
+        out = skew.add_salt(
+            rd.from_arrow(t), "graph", ["hot", "warm"], factor=5,
+            id_cols=list(id_cols) if id_cols else None,
+        ).to_pandas()
+        assert list(out.columns) == t.column_names + ["salt"]
+        assert out["salt"].dtype == "int64"
+        assert out["salt"].tolist() == salts, id_cols

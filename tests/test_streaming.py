@@ -666,3 +666,25 @@ def test_distributed_fixup_matches_broadcast(tmp_out):
         if f.endswith(".parquet")
     }
     assert {os.path.join(tmp_out, f) for f in man["files"]} == on_disk
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])
+def test_single_pass_closes_long_alias_chain(tmp_out, n_blocks):
+    """A 100-alias sameAs chain in random order, in one block or split
+    over four, is written with one canonical subject: the PID."""
+    import random
+
+    rnd = random.Random(11)
+    names = [f"https://mirror.example/c/{i}" for i in range(100)]
+    rnd.shuffle(names)
+    names.insert(rnd.randrange(101), PID)
+    rows = [(names[i], "owl:sameAs", names[i + 1], False, "s") for i in range(100)]
+    rows += [(n, "schema:name", f"F {i}", True, "s") for i, n in enumerate(names)]
+    rnd.shuffle(rows)
+    k = -(-len(rows) // n_blocks)
+    blocks = [_tbl(rows[i : i + k]) for i in range(0, len(rows), k)]
+    assert len(blocks) == n_blocks
+    write_canonical_single_pass(rd.from_arrow(blocks), tmp_out, drop_sameas=True)
+    got = flagship.read_graph(tmp_out).to_pandas()
+    assert len(got) == 101
+    assert set(got["subj"]) == {PID}

@@ -115,7 +115,7 @@ def run_bench() -> dict:
         registry = index_ref if index_ref is not None else f"{fx}/registry.parquet"
         sources = flagship.load_sources_only(fx)
         flagship.raw_triples(
-            flagship.read_pages(fx), registry, sources, cfg,
+            flagship.read_pages(fx), registry, sources,
             index_cache_path=f"{fx}/{INDEX_CACHE_NAME}",
         ).count()
         queries["kg_raw_triples"] = round(time.time() - t0, 3)
@@ -145,13 +145,11 @@ def run_bench() -> dict:
             fs_out = f"/tmp/scheduler_ray_bench/fsb_{NUM_CPUS}_{fs_name}"
             shutil.rmtree(fs_out, ignore_errors=True)
             raw = flagship.raw_triples(
-                flagship.read_pages(fx), registry, sources, cfg,
+                flagship.read_pages(fx), registry, sources,
                 index_cache_path=f"{fx}/{INDEX_CACHE_NAME}",
             )
             t0 = time.time()
-            write_canonical_single_pass(
-                raw, fs_out, drop_sameas=cfg.drop_sameas, fs=fs_impl
-            )
+            write_canonical_single_pass(raw, fs_out, fs=fs_impl)
             n_rt = flagship.read_graph(fs_out, fs=fs_impl).count()
             fs_seam[fs_name] = {"sec": round(time.time() - t0, 3), "rows": n_rt}
             shutil.rmtree(fs_out, ignore_errors=True)
@@ -220,7 +218,7 @@ def stage_microbench(fx: str, index_ref, batch_rows: int = 4096) -> dict:
     t_link, linked = _min_of(lambda: link_triples_batch(expanded, index, enabled))
     tmp = tempfile.mkdtemp(prefix="scheduler_ray_ubench_")
     fs = LocalFS()
-    t_write, _ = _min_of(lambda: _write_block(linked, tmp, True, fs))
+    t_write, _ = _min_of(lambda: _write_block(linked, tmp, fs))
     shutil.rmtree(tmp, ignore_errors=True)
     # minhash signature kernel (round-5: OPH rolling-hash rewrite — the
     # round-4 per-row-Python kernel measured ~27 s per 50k docs; record

@@ -2,8 +2,12 @@
 
 The reference exposes run-tunable pydantic configs
 (reference userCode/lib/containers.py:28-52,103-116); we expose one
-dataclass covering batch sizes, size gates and write modes, validated at
-job start (fail-fast like reference userCode/lib/env.py:28-34).
+dataclass, validated at job start (fail-fast like reference
+userCode/lib/env.py:28-34).  It holds only the setting callers change:
+the broadcast ceiling of the sameAs rewrite.  Everything with one value
+in use is a constant of the stage that uses it: extract and expand map
+4096-row batches, expansion always validates against the shapes, and
+canonicalization always drops ``owl:sameAs`` and dedups each block.
 """
 
 from __future__ import annotations
@@ -16,12 +20,6 @@ ENV_PREFIX = "SCHEDULER_RAY_"
 
 @dataclass
 class PipelineConfig:
-    #: html rows are wide but O(1 KB) here; at 100 TB (100 KB pages) drop
-    #: this to ~1024 so batch × concurrency fits worker heaps
-    extract_batch_size: int = 4096
-    expand_batch_size: int = 4096
-    #: drop owl:sameAs triples from the final graph after rewriting
-    drop_sameas: bool = True
     #: broadcast ceiling for the sameAs rewrite LUT: if the compressed
     #: alias-pair count exceeds this, the two-pass canonical path switches
     #: from the broadcast hash-LUT rewrite to the partitioned-join rewrite
@@ -31,9 +29,6 @@ class PipelineConfig:
     #: a LUT of ~100M pairs (~8 GB of strings+hashes) still broadcasts on a
     #: 128 GiB node; 0 disables the switch.
     canon_broadcast_max_pairs: int = 100_000_000
-    #: validate documents against the SHACL-subset shapes during expansion
-    #: (single parse; the reference's validate-during-harvest contract)
-    validate_docs: bool = True
 
     @classmethod
     def for_cpus(cls, num_cpus: int) -> "PipelineConfig":
@@ -48,41 +43,33 @@ class PipelineConfig:
         (reference userCode/lib/env.py: every var read through typed
         coercion, unknown/invalid values fail at job start, not mid-run).
 
-        Recognized vars: ``SCHEDULER_RAY_<FIELD>`` for every scalar
-        dataclass field, e.g. ``SCHEDULER_RAY_EXTRACT_BATCH_SIZE=2048``,
-        ``SCHEDULER_RAY_VALIDATE_DOCS=false``.  Any other ``SCHEDULER_RAY_*``
-        variable (a typo, or a removed field) raises ``ValueError``.
+        Recognized vars: ``SCHEDULER_RAY_<FIELD>`` for every (integer)
+        dataclass field, e.g. ``SCHEDULER_RAY_CANON_BROADCAST_MAX_PAIRS=0``.
+        Any other ``SCHEDULER_RAY_*`` variable (a typo, or a removed
+        field) raises ``ValueError``.
         """
         import dataclasses
         import os as _os
 
-        from .functions.scalars import env_bool, env_int
+        from .functions.scalars import env_int
 
         environ = _os.environ if environ is None else environ
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        names = [f.name for f in dataclasses.fields(cls)]
         unknown = sorted(
             k
             for k in environ
-            if k.startswith(ENV_PREFIX)
-            and k[len(ENV_PREFIX):].lower() not in fields
+            if k.startswith(ENV_PREFIX) and k[len(ENV_PREFIX):].lower() not in names
         )
         if unknown:
             raise ValueError(f"unknown config env var(s): {', '.join(unknown)}")
-        kwargs = {}
-        for name, f in fields.items():
-            raw = environ.get(f"{ENV_PREFIX}{name.upper()}")
-            if raw is None:
-                continue
-            if f.type == "int":
-                kwargs[name] = env_int(raw, 0)
-            elif f.type == "bool":
-                kwargs[name] = env_bool(raw)
-            else:
-                raise ValueError(f"env override not supported for field {name}")
+        kwargs = {
+            name: env_int(environ[var])
+            for name in names
+            if (var := f"{ENV_PREFIX}{name.upper()}") in environ
+        }
         return cls(**kwargs).validate()
 
     def validate(self) -> "PipelineConfig":
-        for name in ("extract_batch_size", "expand_batch_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.canon_broadcast_max_pairs < 0:
+            raise ValueError("canon_broadcast_max_pairs must be >= 0 (0 disables the switch)")
         return self

@@ -52,13 +52,10 @@ def raw_triples(
     pages: Dataset,
     registry: pd.DataFrame,
     sources: pd.DataFrame,
-    cfg: PipelineConfig | None = None,
     index_cache_path: str | None = None,
 ) -> Dataset:
     """pages → linked (pre-canonicalization) triples."""
-    cfg = (cfg or PipelineConfig()).validate()
-    ex = extract_stage(pages, batch_size=cfg.extract_batch_size)
-    tri = expand_stage(ex, batch_size=cfg.expand_batch_size, validate=cfg.validate_docs)
+    tri = expand_stage(extract_stage(pages))
     return link_stage(tri, registry, sources, index_cache_path=index_cache_path)
 
 
@@ -71,7 +68,7 @@ def canonical_triples(
 ) -> Dataset:
     """pages → canonical deduped triples (unsorted; sort happens at write)."""
     cfg = (cfg or PipelineConfig()).validate()
-    tri = raw_triples(pages, registry, sources, cfg, index_cache_path).materialize()
+    tri = raw_triples(pages, registry, sources, index_cache_path).materialize()
     # one combiner pass compresses the alias pairs to a (tiny,
     # materialized) edge Dataset; its row count — free metadata — drives
     # the broadcast-vs-joined switch (ROADMAP §2): above
@@ -84,22 +81,10 @@ def canonical_triples(
     edges = collect_sameas_edges(tri)
     n_pairs = edges.count()
     if cfg.canon_broadcast_max_pairs and n_pairs > cfg.canon_broadcast_max_pairs:
-        return canonicalize_stage_joined(
-            tri,
-            edges,
-            drop_sameas=cfg.drop_sameas,
-            local_dedup=True,
-        )
+        return canonicalize_stage_joined(tri, edges)
     # worker-side merge → remote LUT build; only the ObjectRef comes
     # back (the driver never holds the mapping bytes)
-    lut_ref = lut_ref_from_edges(edges)
-    return canonicalize_stage(
-        tri,
-        lut_ref,
-        drop_sameas=cfg.drop_sameas,
-        batch_size=None,  # whole-block batches
-        local_dedup=True,
-    )
+    return canonicalize_stage(tri, lut_ref_from_edges(edges))
 
 
 def read_pages(fixture_dir: str, columns: list[str] | None = None) -> Dataset:
@@ -228,9 +213,9 @@ def run_flagship(
     if out_dir:
         from .streaming import write_canonical_single_pass
 
-        raw = raw_triples(pages, registry, sources, cfg, cache)
+        raw = raw_triples(pages, registry, sources, cache)
         write_canonical_single_pass(
-            raw, out_dir, drop_sameas=cfg.drop_sameas,
+            raw, out_dir,
             # the same broadcast ceiling the two-pass canonical path uses:
             # past it the writer's fixup runs as a distributed second pass
             # instead of merging one plasma LUT (ROADMAP §2)

@@ -77,9 +77,7 @@ PAIRS_DIR = "_pairs"
 SIDECAR_DIR = "_sidecars"
 
 
-def _write_block(
-    tbl: pa.Table, out_dir: str, drop_sameas: bool, fs, resume: bool = False
-) -> pa.Table:
+def _write_block(tbl: pa.Table, out_dir: str, fs, resume: bool = False) -> pa.Table:
     """The fused per-block stage: local canon → dedup → sort → write.
 
     Every per-row hash the stage needs (dedup key, content-derived file
@@ -96,7 +94,7 @@ def _write_block(
     """
     if tbl.num_rows == 0:
         return MANIFEST_SCHEMA.empty_table()
-    tbl, pairs = local_canonicalize_batch(tbl, drop_sameas=drop_sameas)
+    tbl, pairs = local_canonicalize_batch(tbl)
     hs = _hash_large_string(tbl["subj"])
     hp = _hash_large_string(tbl["pred"])
     ho = _hash_large_string(tbl["obj"])
@@ -202,16 +200,15 @@ def _content_stem(tbl: pa.Table) -> str:
 
 
 @ray.remote(num_cpus=1)
-def _fixup_file(path: str, lut: tuple, drop_sameas: bool, fs=None) -> tuple[str, int]:
+def _fixup_file(path: str, lut: tuple, fs=None) -> tuple[str, int]:
     """Rewrite one flagged file (read → global rewrite → dedup → sort) to
     a NEW content-named file in the same hive dir — no in-place replace,
     so object stores without rename commit via the manifest instead.
     Returns (new_path, rows); the caller deletes the predecessor AFTER
     the commit manifest is written."""
     fs = fs or LocalFS()
-    # pred column absent (hive dir), so no sameAs drop here — pass 1
-    # already applied it
-    tbl = CanonicalRewriter(lut, drop_sameas=False)(fs.read_table(path))
+    # pass 1 already dropped the sameAs rows
+    tbl = CanonicalRewriter(lut)(fs.read_table(path))
     # file-level exact dedup on (subj, obj) — pred constant within a file
     hs = _hash_large_string(tbl["subj"])
     ho = _hash_large_string(tbl["obj"])
@@ -304,7 +301,6 @@ def _distributed_fixup(
     out_dir: str,
     manifests,
     pair_paths: list[str],
-    drop_sameas: bool,
     fs,
     resume: bool,
 ):
@@ -344,14 +340,12 @@ def _distributed_fixup(
 
         pa_fs = PyFileSystem(FSSpecHandler(fs.fs))
     edges = rd.read_parquet(pair_paths, filesystem=pa_fs)
-    # pass-1 already applied drop_sameas; the joined rewrite only maps
-    triples = read_graph(out_dir, fs)
-    fixed = canonicalize_stage_joined(triples, edges=edges, drop_sameas=False)
+    fixed = canonicalize_stage_joined(read_graph(out_dir, fs), edges=edges)
 
     def stage2(tbl: pa.Table) -> pa.Table:
         # re-canonicalizing canonical rows is a no-op (idempotent), so the
         # second pass reuses the same fused write stage
-        return _write_block(tbl, out_dir, drop_sameas, fs, resume)
+        return _write_block(tbl, out_dir, fs, resume)
 
     man_tables = [
         t
@@ -369,7 +363,6 @@ def write_canonical_single_pass(
     triples: Dataset,
     out_dir: str,
     *,
-    drop_sameas: bool = True,
     fs=None,
     resume: bool = False,
     lut_max_pairs: int | None = None,
@@ -394,7 +387,7 @@ def write_canonical_single_pass(
     os.makedirs(out_dir, exist_ok=True)
 
     def stage(tbl: pa.Table) -> pa.Table:
-        return _write_block(tbl, out_dir, drop_sameas, fs, resume)
+        return _write_block(tbl, out_dir, fs, resume)
 
     # Stream the manifest blocks back as they complete: each block's pair
     # sidecar is fed to the incremental worker-side tree merge, so the LUT
@@ -442,7 +435,7 @@ def write_canonical_single_pass(
     if distributed:
         old_files = set(manifests["file"].tolist())
         manifests = _distributed_fixup(
-            out_dir, manifests, pair_paths, drop_sameas, fs, resume
+            out_dir, manifests, pair_paths, fs, resume
         )
         new_files = set(manifests["file"].tolist())
         replaced = sorted(old_files - new_files)
@@ -467,7 +460,7 @@ def write_canonical_single_pass(
             fixed = len(todo)
             results = ray.get(
                 [
-                    _fixup_file.remote(manifests.loc[i, "file"], lut_ref, drop_sameas, fs)
+                    _fixup_file.remote(manifests.loc[i, "file"], lut_ref, fs)
                     for i in todo
                 ]
             )

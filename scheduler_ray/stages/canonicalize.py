@@ -35,9 +35,14 @@ exact path and the embedding near-dup groups — is ONE exact kernel:
 round cap, so an alias chain of any length lands on one canonical.  The
 FP-Hadoop combine/merge tree is exact only because each combine is.
 
+Every path drops the sameAs rows with one Arrow filter
+(:func:`without_sameas`) where the raw triples enter it, and dedups each
+rewritten block.
+
 Scale note: if the alias set itself outgrows one plasma object, swap
 steps 3-4 for :func:`canonicalize_stage_joined` (hash-partitioned
-min-label propagation + two partitioned joins, same output, all-shuffle).
+min-label propagation, run to its fixed point with no round cap, + two
+partitioned joins; same output, all-shuffle).
 """
 
 from __future__ import annotations
@@ -68,6 +73,13 @@ _SAMEAS_SET = pa.array([SAME_AS, SAME_AS_IRI], pa.large_string())
 
 def _is_sameas(pred_col) -> pa.ChunkedArray:
     return pc.is_in(pred_col, value_set=_SAMEAS_SET)
+
+
+def without_sameas(tbl: pa.Table) -> pa.Table:
+    """``tbl`` minus its owl:sameAs rows — the one filter raw triples
+    pass where they enter canonicalization: the final graph holds no
+    sameAs edges, their clusters live on as the rewritten URIs."""
+    return tbl.filter(pc.invert(_is_sameas(tbl["pred"])))
 
 
 class UnionFind:
@@ -252,23 +264,21 @@ def collect_sameas_edges(triples: Dataset) -> Dataset:
     ).materialize()
 
 
-def local_canonicalize_batch(tbl: pa.Table, drop_sameas: bool = True):
+def local_canonicalize_batch(tbl: pa.Table):
     """Batch-local sameAs canonicalization (the single-pass combiner).
 
     Collapses the batch's OWN sameAs edges (a document's edges are always
-    emitted in its own batch) and rewrites the batch through the resulting
-    tiny LUT.  Returns ``(rewritten_table, pair_table)`` — the pair table
-    (node → local canon) is the residue the global merge needs to detect
-    cross-batch chains.
+    emitted in its own batch), drops them, and rewrites the rest through
+    the resulting tiny LUT.  Returns ``(rewritten_table, pair_table)`` —
+    the pair table (node → local canon) is the residue the global merge
+    needs to detect cross-batch chains.
     """
-    pairs = sameas_edges_batch(tbl)
+    is_sameas = _is_sameas(tbl["pred"])
+    edges = tbl.filter(is_sameas)
+    pairs = _canonical_pairs(edges["subj"], edges["obj"])
+    tbl = tbl.filter(pc.invert(is_sameas))
     if pairs.num_rows:
-        lut = build_rewrite_lut(
-            pairs["node"].combine_chunks(), pairs["root"].combine_chunks()
-        )
-        tbl = CanonicalRewriter(lut, drop_sameas=drop_sameas)(tbl)
-    elif drop_sameas:
-        tbl = tbl.filter(pc.invert(_is_sameas(tbl["pred"])))
+        tbl = CanonicalRewriter(build_rewrite_lut(pairs))(tbl)
     return tbl, pairs
 
 
@@ -329,8 +339,10 @@ def _hash_large_string(arr) -> np.ndarray:
 _PREFIX_BITS = 24
 
 
-def build_rewrite_lut(keys, vals) -> tuple:
-    """Build of the broadcast rewrite LUT (driver or remote task).
+def build_rewrite_lut(pairs: pa.Table) -> tuple:
+    """Build of the broadcast rewrite LUT (driver or remote task) from a
+    :data:`PAIR_SCHEMA` table; its ``node_hash`` column is the key hash,
+    so no key is hashed again.
 
     Returns ``(keys_sorted, vals_sorted, kh_sorted, prefix_bitmap,
     hash_unique)`` where the arrays are Arrow / numpy — after ``ray.put``
@@ -338,13 +350,11 @@ def build_rewrite_lut(keys, vals) -> tuple:
     build, no per-worker private copy; round-1's per-worker duplication
     went superlinear at 16 workers × multi-hundred-MB mappings).
     """
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    if isinstance(vals, pa.ChunkedArray):
-        vals = vals.combine_chunks()
+    keys = pairs["node"].combine_chunks()
+    vals = pairs["root"].combine_chunks()
     if len(keys) == 0:
         return keys, vals, np.array([], np.uint64), np.zeros(1, bool), True
-    kh = _hash_large_string(keys)
+    kh = pairs["node_hash"].to_numpy()
     order = np.argsort(kh, kind="stable")
     kh_sorted = kh[order]
     order_pa = pa.array(order)
@@ -381,10 +391,7 @@ def _merge_pairs(fs, *parts) -> pa.Table:
 def _finish_lut(fs, *parts) -> tuple:
     """The whole LUT in one task: one merge and one build, the exact
     path :func:`_concat_lut_shards` falls back to."""
-    merged = _merge_parts(fs, parts)
-    return build_rewrite_lut(
-        merged["node"].combine_chunks(), merged["root"].combine_chunks()
-    )
+    return build_rewrite_lut(_merge_parts(fs, parts))
 
 
 #: node-hash range shards for the LUT build above the one-task cap
@@ -413,9 +420,7 @@ def _finish_lut_shard(shard: int, *tables: pa.Table) -> tuple:
         if mask.any():
             parts.append(t.filter(pa.array(mask)))
     merged = _merge_pair_tables(parts)
-    keys, vals, kh, _bitmap, unique = build_rewrite_lut(
-        merged["node"].combine_chunks(), merged["root"].combine_chunks()
-    )
+    keys, vals, kh, _bitmap, unique = build_rewrite_lut(merged)
     rh = merged["root_hash"].to_numpy() if merged.num_rows else np.array([], np.uint64)
     in_range = bool(len(kh) == 0 or ((kh >> shift).astype(np.int64) == shard).all())
     return keys, vals, kh, unique, np.unique(rh), in_range
@@ -442,9 +447,7 @@ def _concat_lut_shards(*shards: tuple) -> tuple:
     the fallback exists for correctness, not speed."""
     live = [s for s in shards if len(s[2])]
     if not live:
-        return build_rewrite_lut(
-            pa.array([], pa.large_string()), pa.array([], pa.large_string())
-        )
+        return build_rewrite_lut(PAIR_SCHEMA.empty_table())
     kh = np.concatenate([s[2] for s in live])
     rh = np.concatenate([s[4] for s in live])
     keys = pa.concat_arrays([s[0] for s in live])
@@ -452,10 +455,7 @@ def _concat_lut_shards(*shards: tuple) -> tuple:
     pos = np.clip(np.searchsorted(kh, rh), 0, len(kh) - 1)
     escaped = not all(s[5] for s in live)
     if escaped or bool((kh[pos] == rh).any()):
-        merged = _canonical_pairs(keys, vals)
-        return build_rewrite_lut(
-            merged["node"].combine_chunks(), merged["root"].combine_chunks()
-        )
+        return build_rewrite_lut(_canonical_pairs(keys, vals))
     bitmap = None
     if len(kh) >= 65536:
         bitmap = np.zeros(1 << _PREFIX_BITS, bool)
@@ -560,9 +560,10 @@ def lut_ref_from_edges(edges: Dataset, *, merge_fanout: int = 8) -> "ray.ObjectR
 
 
 class CanonicalRewriter:
-    """THE alias→canonical rewrite kernel (+ optional sameAs drop): every
-    path that applies a LUT to ``subj``/``obj`` — the two-pass rewrite,
-    the writer's per-block local canon and its file fixup — calls it.
+    """THE alias→canonical rewrite kernel: every path that applies a LUT
+    to ``subj``/``obj`` — the two-pass rewrite, the writer's per-block
+    local canon and its file fixup — calls it.  It only rewrites; the
+    sameAs rows are dropped before it (:func:`without_sameas`).
 
     The lookup structure is a sorted uint64 hash LUT over the mapping keys
     (:func:`build_rewrite_lut`, or the :class:`_PairMerger` result) — per batch the column is hashed, searchsorted, and hash hits are
@@ -573,7 +574,7 @@ class CanonicalRewriter:
     and scales with CPUs.
     """
 
-    def __init__(self, lut: tuple, drop_sameas: bool = True):
+    def __init__(self, lut: tuple):
         (
             self.keys_sorted,
             self.vals_sorted,
@@ -581,7 +582,6 @@ class CanonicalRewriter:
             self.prefix_bitmap,
             self.hash_unique,
         ) = lut
-        self.drop_sameas = drop_sameas
 
     def _rewrite(self, col: pa.ChunkedArray, probe_mask: "np.ndarray | None" = None):
         """Rewrite ``col``; when ``probe_mask`` is given, only rows where
@@ -635,8 +635,6 @@ class CanonicalRewriter:
         return pc.coalesce(repl, col)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.drop_sameas:
-            batch = batch.filter(pc.invert(_is_sameas(batch["pred"])))
         subj = self._rewrite(batch["subj"])
         # only URI objects are entity references; literal rows skip the
         # probe entirely (mask) and pass through via coalesce
@@ -650,21 +648,14 @@ class CanonicalRewriter:
         return batch.set_column(i_subj, "subj", subj).set_column(i_obj, "obj", obj)
 
 
-def canonicalize_stage(
-    triples: Dataset,
-    lut_ref: "ray.ObjectRef",
-    *,
-    drop_sameas: bool = True,
-    batch_size: int | None = 65536,
-    local_dedup: bool = False,
-) -> Dataset:
+def canonicalize_stage(triples: Dataset, lut_ref: "ray.ObjectRef") -> Dataset:
     """Vectorized alias→canonical rewrite over the plasma-resident LUT
     that :func:`lut_ref_from_edges` returns.
 
-    Stateless tasks with a per-worker-process cached :class:`CanonicalRewriter`
-    (see link_stage docstring).  ``local_dedup=True`` folds a within-batch
-    exact-triple dedup into the same stage (cheap combiner before any
-    global dedup).
+    Stateless whole-block tasks with a per-worker-process cached
+    :class:`CanonicalRewriter` (see link_stage docstring): each drops the
+    block's sameAs rows, rewrites the rest and folds in a within-block
+    exact-triple dedup (cheap combiner before any global dedup).
     """
     from .link import _cached_get
 
@@ -676,29 +667,19 @@ def canonicalize_stage(
         key = "rewriter:" + lut_ref.hex()
         rw = _BROADCAST_CACHE.get(key)
         if rw is None:
-            rw = CanonicalRewriter(_cached_get(lut_ref), drop_sameas=drop_sameas)
+            rw = CanonicalRewriter(_cached_get(lut_ref))
             _BROADCAST_CACHE[key] = rw
-        out = rw(batch)
-        if local_dedup:
-            out = local_exact_dedup(out)
-        return out
+        return local_exact_dedup(rw(without_sameas(batch)))
 
     return triples.map_batches(
         rewrite_fn,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
     )
 
 
-def canonicalize_stage_joined(
-    triples: Dataset,
-    edges: Dataset | None = None,
-    *,
-    drop_sameas: bool = True,
-    local_dedup: bool = False,
-    cc_max_iters: int = 10,
-) -> Dataset:
+def canonicalize_stage_joined(triples: Dataset, edges: Dataset | None = None) -> Dataset:
     """Broadcast-free canonicalization: partitioned-join alias rewrite.
 
     The scale escape hatch for alias sets too large to live in one plasma
@@ -724,21 +705,15 @@ def canonicalize_stage_joined(
     triples = _drop_empty_blocks(triples)
     # the sameAs filter below keeps the block count
     n_parts = join_partitions(triples)
-    if drop_sameas:
-        triples = triples.map_batches(
-            lambda t: t.filter(pc.invert(_is_sameas(t["pred"]))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+    triples = triples.map_batches(
+        without_sameas, batch_format="pyarrow", zero_copy_batch=True
+    )
+    if edges.count() == 0:
+        return triples.map_batches(
+            local_exact_dedup, batch_format="pyarrow", zero_copy_batch=True
         )
-    n_pairs = edges.count()
-    if n_pairs == 0:
-        if local_dedup:
-            triples = triples.map_batches(
-                local_exact_dedup, batch_format="pyarrow", zero_copy_batch=True
-            )
-        return triples
 
-    labels = connected_components_distributed(edges, max_iters=cc_max_iters)
+    labels = connected_components_distributed(edges)
 
     # acero joins require EXACT key-type equality (string vs large_string
     # is an error, not a cast) — align the label dtype with the triples
@@ -792,17 +767,12 @@ def canonicalize_stage_joined(
         canon = pc.cast(t["_obj_canon"], t["obj"].type)
         obj = pc.if_else(lit, t["obj"], pc.coalesce(canon, t["obj"]))
         t = t.set_column(t.schema.get_field_index("obj"), "obj", obj)
-        t = t.drop_columns(["_obj_canon"])
-        if local_dedup:
-            t = local_exact_dedup(t)
-        return t
+        return local_exact_dedup(t.drop_columns(["_obj_canon"]))
 
     return out.map_batches(_apply_obj, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def connected_components_distributed(
-    edges: Dataset, *, max_iters: int = 10
-) -> Dataset:
+def connected_components_distributed(edges: Dataset) -> Dataset:
     """All-shuffle min-label propagation for alias sets too big to broadcast.
 
     ``edges(node, root)`` → ``(node, label)`` where label is the cluster
@@ -814,10 +784,14 @@ def connected_components_distributed(
         labels ⋈ edges ON peer   (hash-partitioned Dataset.join)
         → groupby(node).min(label)
 
-    and the convergence check is a distributed count of changed labels
-    (labels ⋈ previous labels, filter differing, count — a scalar, never
-    the table).  Geoconnex sameAs chains are shallow (SURVEY.md §7), so
-    this converges in 2-3 iterations.  Partitioning assumption: labels
+    and the fixed-point check is a distributed checksum of the label table
+    (row count and wrap-sum of row hashes — two scalars, never the
+    table).  A label only ever decreases, so the loop runs to its
+    fixed point with no round cap and closes a chain of any length; a
+    label moves one hop per iteration, so the rounds grow with the
+    longest distance to a cluster's minimum.  Geoconnex sameAs chains
+    are shallow (SURVEY.md §7), and the per-batch combiner has already
+    closed every block-local chain.  Partitioning assumption: labels
     and edges co-partition on the join key per iteration (Ray's hash
     join); no driver-side state beyond scalars.
     """
@@ -895,8 +869,7 @@ def connected_components_distributed(
     ).materialize()
     prev = _checksum(labels)
     n_parts = join_partitions(und)
-    converged = False
-    for _ in range(max_iters - 1):
+    while True:
         # propagate: each edge (node, peer) contributes label[peer] to node
         peer_labels = _rename(labels, {"node": "peer"})
         prop = _drop_empty_blocks(
@@ -906,24 +879,11 @@ def connected_components_distributed(
         ).select_columns(["node", "label"])
         # no union(labels) needed: und carries a SELF edge for every
         # node, so prop already contributes each node's current label
-        new_labels = _min_by_node(prop).materialize()
-        labels = new_labels
+        labels = _min_by_node(prop).materialize()
         cur = _checksum(labels)
         if cur == prev:
-            converged = True
             break
         prev = cur
-    if not converged:
-        # The checksum makes non-convergence detectable for free; exiting
-        # silently here would hand back SPLIT clusters (wrong canonical
-        # labels) whenever an alias chain spans more than max_iters-1
-        # cross-block hops — fail loudly instead (round-4 advice).
-        raise RuntimeError(
-            f"connected_components_distributed did not converge within "
-            f"max_iters={max_iters} label-propagation rounds; the alias "
-            f"graph has chains longer than {max_iters - 1} hops — raise "
-            f"cc_max_iters (canonicalize_stage_joined) for this corpus"
-        )
 
     def strip(t: pa.Table) -> pa.Table:
         return pa.table(

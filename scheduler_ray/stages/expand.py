@@ -405,15 +405,15 @@ def expansion_metrics_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def expand_stage(
-    extracted: Dataset, *, batch_size: int = 4096, validate: bool = False
-) -> Dataset:
+def expand_stage(extracted: Dataset) -> Dataset:
+    """Expand 4096-row batches of extracted documents, each validated
+    against the shapes (the reference's validate-during-harvest
+    contract; see :func:`expand_triples_batch`)."""
     import functools
 
-    fn = functools.partial(expand_triples_batch, validate=validate)
     return extracted.map_batches(
-        fn,
+        functools.partial(expand_triples_batch, validate=True),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=4096,
         zero_copy_batch=True,
     )

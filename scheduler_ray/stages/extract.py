@@ -89,15 +89,16 @@ def derive_source_batch(batch: pa.Table) -> pa.Table:
     return batch.append_column("source", source)
 
 
-def extract_stage(pages: Dataset, *, batch_size: int = 1024) -> Dataset:
+def extract_stage(pages: Dataset) -> Dataset:
     """pages(url, warc_ts, html, text, lang) → + (source, extracted) − html.
 
-    ``batch_size`` is small because html rows are wide; after this stage
-    blocks are narrow strings and downstream stages use larger batches.
+    4096-row batches: html rows are O(1 KB) here; at 100 KB pages a
+    batch is ~400 MB, so lower the constant before running on such
+    corpora.
     """
     return pages.map_batches(
         extract_jsonld_batch,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=4096,
         zero_copy_batch=True,
     )

@@ -128,6 +128,7 @@ def test_canonicalize_joined_adversarial_topologies():
         canonicalize_stage_joined,
         collect_sameas_edges,
         lut_ref_from_edges,
+        without_sameas,
     )
 
     P1 = "https://pids.geoconnex.dev/a/1"
@@ -174,16 +175,19 @@ def test_canonicalize_joined_adversarial_topologies():
     ]
     tri = rd.from_arrow(blocks)
     got = (
-        canonicalize_stage_joined(tri, drop_sameas=True)
+        canonicalize_stage_joined(tri)
         .to_pandas()
         .sort_values(["pred", "subj", "obj"])
         .reset_index(drop=True)
     )
     lut = ray.get(lut_ref_from_edges(collect_sameas_edges(rd.from_arrow(blocks))))
-    rw = CanonicalRewriter(lut, drop_sameas=True)
+    rw = CanonicalRewriter(lut)
+    # the joined path dedups each block after its last join, which
+    # co-locates the two (P1, rdf:type, ...) rows the chains produce
     want = (
-        pa.concat_tables([rw(b) for b in blocks])
+        pa.concat_tables([rw(without_sameas(b)) for b in blocks])
         .to_pandas()
+        .drop_duplicates()
         .sort_values(["pred", "subj", "obj"])
         .reset_index(drop=True)
     )
@@ -207,7 +211,7 @@ def test_canonicalize_joined_no_edges():
             {"subj": "s2", "pred": "schema:name", "obj": "y", "graph": "g", "obj_is_literal": True},
         ]
     )
-    out = canonicalize_stage_joined(tri, drop_sameas=True).to_pandas()
+    out = canonicalize_stage_joined(tri).to_pandas()
     assert sorted(out["subj"]) == ["s1", "s2"]
 
 
@@ -323,25 +327,69 @@ def test_distributed_cc_multiblock_chains():
     assert not bad, bad[:5]
 
 
-def test_distributed_cc_nonconvergence_raises():
-    """A chain longer than max_iters-1 hops must raise, never return
-    silently-split clusters (round-4 advice, medium)."""
-    import pytest
+def test_distributed_cc_closes_eight_hop_chain():
+    """One 8-hop chain spread over four blocks closes to one label: the
+    propagation runs to its fixed point, with no round cap."""
     import ray.data as rd
 
     from scheduler_ray.stages.canonicalize import connected_components_distributed
 
-    # one 8-hop chain: needs ~8 propagation rounds; max_iters=3 allows 2
     rows = [
         {"node": f"https://x.example/{i}", "root": f"https://x.example/{i + 1}"}
         for i in range(8)
     ]
     edges = rd.from_items(rows).repartition(4)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        connected_components_distributed(edges, max_iters=3).materialize()
-    # and with enough rounds the same chain closes fine
-    labels = connected_components_distributed(edges, max_iters=12).to_pandas()
+    labels = connected_components_distributed(edges).to_pandas()
     assert set(labels["label"]) == {"https://x.example/0"}
+
+
+def test_canonicalize_joined_closes_17_node_path():
+    """A random-order 17-node alias path, the PID at a random position
+    and every edge in its own block, closes to the PID through the
+    joined rewrite — as the in-process kernel closes it.  Seed 4 puts
+    the PID 12 hops from the far end of the path, more than the ten
+    label-propagation rounds the distributed closure used to cap."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from scheduler_ray.stages.canonicalize import canonicalize_stage_joined
+
+    rng = np.random.default_rng(4)
+    pid = "https://pids.geoconnex.dev/chain/1"
+    path = [f"https://alias.example/{int(k)}" for k in rng.permutation(1000)[:16]]
+    at = int(rng.integers(0, 17))
+    path.insert(at, pid)
+    assert max(at, 16 - at) > 10
+    edges = [(path[i], path[i + 1]) for i in range(16)]
+    edges = [edges[i] for i in rng.permutation(16)]
+    edge_ds = rd.from_arrow(
+        [
+            pa.table(
+                {
+                    "node": pa.array([a], pa.large_string()),
+                    "root": pa.array([b], pa.large_string()),
+                }
+            )
+            for a, b in edges
+        ]
+    )
+    tri = rd.from_arrow(
+        [
+            pa.table(
+                {
+                    "subj": pa.array(path, pa.large_string()),
+                    "pred": pa.array(["schema:name"] * 17, pa.large_string()),
+                    "obj": pa.array([f"n{i}" for i in range(17)], pa.large_string()),
+                    "obj_is_literal": pa.array([True] * 17),
+                    "graph": pa.array(["g"] * 17, pa.large_string()),
+                }
+            )
+        ]
+    )
+    out = canonicalize_stage_joined(tri, edge_ds).to_pandas()
+    assert len(out) == 17
+    assert set(out["subj"]) == {pid}
 
 
 def test_sorted_agg_by_float_composite_keys():

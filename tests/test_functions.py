@@ -89,23 +89,20 @@ def test_config_from_env():
 
     from scheduler_ray.config import PipelineConfig
 
-    env = {
-        "SCHEDULER_RAY_EXTRACT_BATCH_SIZE": "2048",
-        "SCHEDULER_RAY_VALIDATE_DOCS": "false",
-        "SCHEDULER_RAY_CANON_BROADCAST_MAX_PAIRS": "4",
-    }
+    env = {"SCHEDULER_RAY_CANON_BROADCAST_MAX_PAIRS": "4"}
     cfg = PipelineConfig.from_env(env)
-    assert cfg.extract_batch_size == 2048
-    assert cfg.validate_docs is False
     assert cfg.canon_broadcast_max_pairs == 4
     with pytest.raises(ValueError):
-        PipelineConfig.from_env({"SCHEDULER_RAY_EXPAND_BATCH_SIZE": "-5"})
+        PipelineConfig.from_env({"SCHEDULER_RAY_CANON_BROADCAST_MAX_PAIRS": "-1"})
     # a variable naming no field fails fast (typos, removed fields) ...
     # (the phase-timings switch SCHEDULER_RAY_TIMINGS is gone as well,
     # and so are the never-set link-actor, salt, partition and extra knobs
     # and the sort mode of the removed global-sort write, and the linker's
     # batch size: the linker maps whole blocks, and the never-set file
-    # resume switch: the writer's own ``resume`` parameter remains)
+    # resume switch: the writer's own ``resume`` parameter remains; and
+    # the settings with one value in use: extract and expand map
+    # 4096-row batches, expansion always validates, canonicalization
+    # always drops owl:sameAs)
     for var in (
         "SCHEDULER_RAY_STAGING_DIR",
         "SCHEDULER_RAY_EXTRACT_BATCHSIZE",
@@ -118,6 +115,10 @@ def test_config_from_env():
         "SCHEDULER_RAY_SORT_MODE",
         "SCHEDULER_RAY_LINK_BATCH_SIZE",
         "SCHEDULER_RAY_FILE_RESUME",
+        "SCHEDULER_RAY_EXTRACT_BATCH_SIZE",
+        "SCHEDULER_RAY_EXPAND_BATCH_SIZE",
+        "SCHEDULER_RAY_VALIDATE_DOCS",
+        "SCHEDULER_RAY_DROP_SAMEAS",
     ):
         with pytest.raises(ValueError, match=var):
             PipelineConfig.from_env({**env, var: "1"})

@@ -9,7 +9,9 @@ import pyarrow as pa
 from scheduler_ray.stages.canonicalize import (
     CanonicalRewriter,
     UnionFind,
+    _canonical_pairs,
     build_rewrite_lut,
+    local_canonicalize_batch,
     sameas_edges_batch,
 )
 from scheduler_ray.stages.expand import TRIPLE_SCHEMA, expand_triples_batch
@@ -250,13 +252,19 @@ def test_sameas_combiner_and_rewriter():
     pid = "https://pids.geoconnex.dev/x/1"
     rw = CanonicalRewriter(
         build_rewrite_lut(
-            pa.array(["alias", "prov"], pa.large_string()),
-            pa.array([pid, pid], pa.large_string()),
+            _canonical_pairs(
+                pa.array(["alias", "prov"], pa.large_string()),
+                pa.array([pid, pid], pa.large_string()),
+            )
         )
     )
-    out = rw(t)
+    # the kernel only rewrites; the sameAs rows go where triples enter
+    # canonicalization
+    assert rw(t)["subj"].to_pylist() == [pid, pid, pid, "keep"]
+    out, pairs = local_canonicalize_batch(t)
+    assert pairs.num_rows == edges.num_rows
     assert "owl:sameAs" not in out["pred"].to_pylist()
-    assert out["subj"].to_pylist() == ["https://pids.geoconnex.dev/x/1", "keep"]
+    assert out["subj"].to_pylist() == [pid, "keep"]
 
 
 def test_pair_merge_resolves_whole_conflict_component():

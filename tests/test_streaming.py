@@ -69,7 +69,7 @@ def test_cross_batch_chain_fixup(tmp_out):
         ]
     )
     ds = rd.from_arrow([b1, b2, b3])
-    summary = write_canonical_single_pass(ds, tmp_out, drop_sameas=True)
+    summary = write_canonical_single_pass(ds, tmp_out)
     assert summary["fixed_files"] > 0  # the chain forced a fixup
     got = flagship.read_graph(tmp_out).to_pandas()
     ts = _tripleset(got)
@@ -113,7 +113,7 @@ def test_file_level_resume_skips_existing(tmp_out):
         ]
     )
     ds = rd.from_arrow([b])
-    s1 = write_canonical_single_pass(ds, tmp_out, drop_sameas=True)
+    s1 = write_canonical_single_pass(ds, tmp_out)
     assert s1["skipped_files"] == 0
     data_files = sorted(
         os.path.join(r, f)
@@ -125,7 +125,7 @@ def test_file_level_resume_skips_existing(tmp_out):
     # simulated crash after the data puts but before the commit
     os.remove(os.path.join(tmp_out, "_MANIFEST.json"))
     ds2 = rd.from_arrow([b])
-    s2 = write_canonical_single_pass(ds2, tmp_out, drop_sameas=True, resume=True)
+    s2 = write_canonical_single_pass(ds2, tmp_out, resume=True)
     assert s2["skipped_files"] == s2["files"] == len(data_files)
     assert {p: os.stat(p).st_mtime_ns for p in data_files} == mtimes
     assert read_commit_manifest(LocalFS(), tmp_out) is not None
@@ -147,6 +147,7 @@ def test_cross_batch_fixup_at_volume(tmp_out):
         CanonicalRewriter,
         collect_sameas_edges,
         lut_ref_from_edges,
+        without_sameas,
     )
 
     n = 200
@@ -165,7 +166,7 @@ def test_cross_batch_fixup_at_volume(tmp_out):
         )
     tables = [_tbl(rows) for rows in blocks.values()]
     ds = rd.from_arrow(tables)
-    summary = write_canonical_single_pass(ds, tmp_out, drop_sameas=True)
+    summary = write_canonical_single_pass(ds, tmp_out)
     assert summary["fixed_files"] > 0
     got = flagship.read_graph(tmp_out).to_pandas()
     one = _tripleset(got)
@@ -174,7 +175,7 @@ def test_cross_batch_fixup_at_volume(tmp_out):
     import pyarrow as pa
 
     all_rows = pa.concat_tables(tables)
-    two = _tripleset(rw(all_rows).to_pandas().drop_duplicates())
+    two = _tripleset(rw(without_sameas(all_rows)).to_pandas().drop_duplicates())
     assert one == two
     assert len(got) == 2 * n  # name + about rows (sameAs dropped); no dups
     assert not any("mirror.example" in o or "provider.example" in o
@@ -192,7 +193,7 @@ def test_compaction_merges_small_files(fixture_sf0001, tmp_out):
     raw = flagship.raw_triples(
         flagship.read_pages(fixture_sf0001), registry, sources
     ).repartition(6)  # force one file per (block, pred) — 6 per dir
-    write_canonical_single_pass(raw, tmp_out, drop_sameas=True)
+    write_canonical_single_pass(raw, tmp_out)
     before = flagship.read_graph(tmp_out).to_pandas()
     n_files_before = sum(
         1 for _r, _d, fs in os.walk(tmp_out) for f in fs if f.endswith(".parquet")
@@ -247,7 +248,7 @@ def test_no_rename_fs_and_commit_manifest(tmp_out, fs_kind):
     )
     fs = NoRenameFS() if fs_kind == "norename" else FsspecFS("file")
     summary = write_canonical_single_pass(
-        rd.from_arrow([b1, b2]), tmp_out, drop_sameas=True, fs=fs
+        rd.from_arrow([b1, b2]), tmp_out, fs=fs
     )
     assert summary["fixed_files"] > 0  # the chain forced the fixup path
     man = read_commit_manifest(fs, tmp_out)
@@ -303,7 +304,7 @@ def test_manifest_gated_read_ignores_garbage(tmp_out):
         ]
     )
     ds = rd.from_arrow([b])
-    write_canonical_single_pass(ds, tmp_out, drop_sameas=True)
+    write_canonical_single_pass(ds, tmp_out)
     committed = _tripleset(flagship.read_graph(tmp_out).to_pandas())
     # plant garbage: a duplicate-content file under a new (uncommitted) name
     pdir = glob.glob(os.path.join(tmp_out, "pred=*"))[0]
@@ -463,7 +464,7 @@ def test_pair_merger_eager_collapse_matches_direct(tmp_path):
         assert m.n_parts == 40
     merged = _merge_pair_tables(tables)
     luts.append(
-        build_rewrite_lut(merged["node"].combine_chunks(), merged["root"].combine_chunks())
+        build_rewrite_lut(merged)
     )
     for lut in luts[1:]:
         for a, b in zip(luts[0], lut):
@@ -513,15 +514,13 @@ def test_sharded_lut_conflicted_alias_key_escape(ray_session):
     sharded = ray.get(_concat_lut_shards.remote(*shard_refs))
     # unsharded oracle over the identical pair set
     merged = _merge_pair_tables([t1, t2])
-    oracle = build_rewrite_lut(
-        merged["node"].combine_chunks(), merged["root"].combine_chunks()
-    )
+    oracle = build_rewrite_lut(merged)
     # the LUT arrays must agree exactly (same keys, same canons, sorted)
     np.testing.assert_array_equal(sharded[2], oracle[2])
     assert sharded[0].to_pylist() == oracle[0].to_pylist()
     assert sharded[1].to_pylist() == oracle[1].to_pylist()
     # and the rewriter must canonicalize every alias (no alias survives)
-    rw = CanonicalRewriter(sharded, drop_sameas=False)
+    rw = CanonicalRewriter(sharded)
     probe = pa.table(
         {
             "subj": pa.array(
@@ -536,7 +535,7 @@ def test_sharded_lut_conflicted_alias_key_escape(ray_session):
         }
     )
     got = rw(probe)["subj"].to_pylist()
-    want = CanonicalRewriter(oracle, drop_sameas=False)(probe)["subj"].to_pylist()
+    want = CanonicalRewriter(oracle)(probe)["subj"].to_pylist()
     assert got == want
     # every probe row is an alias in some conflicted/chained set, so the
     # rewrite must move every row off its original spelling or onto the
@@ -637,12 +636,12 @@ def test_distributed_fixup_matches_broadcast(tmp_out):
 
     bdir = tmp_out + "_broadcast"
     shutil.rmtree(bdir, ignore_errors=True)
-    s_b = write_canonical_single_pass(rd.from_arrow(tables), bdir, drop_sameas=True)
+    s_b = write_canonical_single_pass(rd.from_arrow(tables), bdir)
     assert s_b["fixed_files"] > 0  # the corpus genuinely needs the fixup
     broadcast = flagship.read_graph(bdir).to_pandas()
 
     s_d = write_canonical_single_pass(
-        rd.from_arrow(tables), tmp_out, drop_sameas=True, lut_max_pairs=1
+        rd.from_arrow(tables), tmp_out, lut_max_pairs=1
     )
     assert s_d["fixed_files"] > 0
     # the summary reports which side of the gate ran and the pair count
@@ -684,7 +683,7 @@ def test_single_pass_closes_long_alias_chain(tmp_out, n_blocks):
     k = -(-len(rows) // n_blocks)
     blocks = [_tbl(rows[i : i + k]) for i in range(0, len(rows), k)]
     assert len(blocks) == n_blocks
-    write_canonical_single_pass(rd.from_arrow(blocks), tmp_out, drop_sameas=True)
+    write_canonical_single_pass(rd.from_arrow(blocks), tmp_out)
     got = flagship.read_graph(tmp_out).to_pandas()
     assert len(got) == 101
     assert set(got["subj"]) == {PID}
